@@ -1,6 +1,7 @@
 package flags
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -20,9 +21,14 @@ func SetUsage(cmd, synopsis string) {
 }
 
 // Check exits with the uniform error format "<cmd>: <err>" and status 1
-// when err is non-nil.
+// when err is non-nil. An error recovered from a panic
+// (experiments.PanicError) first prints the panicking goroutine's stack.
 func Check(cmd string, err error) {
 	if err != nil {
+		var p interface{ PanicStack() []byte }
+		if errors.As(err, &p) {
+			os.Stderr.Write(p.PanicStack())
+		}
 		Fatalf(cmd, "%v", err)
 	}
 }

@@ -38,7 +38,8 @@ type WaitHist struct {
 }
 
 func (h *WaitHist) add(w Time) {
-	for i, b := range waitBounds {
+	// Ranging over the array itself would copy it on every call.
+	for i, b := range waitBounds[:] {
 		if w <= b {
 			h.Counts[i]++
 			return

@@ -149,3 +149,14 @@ func TestTimeString(t *testing.T) {
 		t.Fatalf("got %q", Time(42).String())
 	}
 }
+
+var histSink WaitHist
+
+// BenchmarkWaitHistAdd times one bucket update, which every Claim pays.
+func BenchmarkWaitHistAdd(b *testing.B) {
+	var h WaitHist
+	for i := 0; i < b.N; i++ {
+		h.add(Time(i & 63))
+	}
+	histSink = h
+}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"runtime/debug"
 	"sync"
 
 	"repro/internal/config"
@@ -96,11 +98,26 @@ func (r *Runner) releaseTrace(key traceKey, n int) {
 	r.mu.Unlock()
 }
 
+// PanicError is a panic recovered from a pool job. forEach returns it as
+// that job's error, so a simulator bug fails the run instead of killing a
+// long-lived caller such as comasrv.
+type PanicError struct {
+	Value any    // the value passed to panic
+	Stack []byte // the panicking goroutine's stack
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
+
+// PanicStack returns the stack, for error reporters that do not import
+// this package (the commands' shared flags.Check).
+func (e *PanicError) PanicStack() []byte { return e.Stack }
+
 // forEach runs f(0..n-1) on up to Jobs workers. Indices are dispatched in
 // order; after the first failure no new index is dispatched, already
 // running calls finish, and the error of the smallest failing index is
 // returned. Because dispatch order is a prefix of input order, that index
-// is the same one the sequential engine would have failed on.
+// is the same one the sequential engine would have failed on. A call that
+// panics fails its index with a *PanicError.
 func (r *Runner) forEach(n int, f func(i int) error) error {
 	workers := r.jobs()
 	if workers > n {
@@ -119,7 +136,7 @@ func (r *Runner) forEach(n int, f func(i int) error) error {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				if err := f(i); err != nil {
+				if err := call(f, i); err != nil {
 					errs[i] = err
 					stopOnce.Do(func() { close(stop) })
 				}
@@ -142,4 +159,14 @@ feed:
 		}
 	}
 	return nil
+}
+
+// call runs f(i), turning a panic into a *PanicError.
+func call(f func(int) error, i int) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = &PanicError{Value: p, Stack: debug.Stack()}
+		}
+	}()
+	return f(i)
 }

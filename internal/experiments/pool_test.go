@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"reflect"
 	"runtime"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/trace"
 )
 
 // runner8 returns a fresh 8-processor runner with the given pool width
@@ -259,5 +261,53 @@ func TestDirectTraceSurvivesUnrelatedMatrix(t *testing.T) {
 	r.mu.Unlock()
 	if !ok {
 		t.Fatal("matrix evicted a trace it never pinned")
+	}
+}
+
+// A job that panics fails its index with a *PanicError carrying the
+// panic value and stack; the pool keeps its first-error semantics.
+func TestForEachPanicIsJobError(t *testing.T) {
+	r := runner8(4)
+	err := r.forEach(8, func(i int) error {
+		if i == 3 {
+			panic("job 3")
+		}
+		return nil
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Value != "job 3" || len(pe.Stack) == 0 {
+		t.Fatalf("err = %v, want a *PanicError for job 3 with its stack", err)
+	}
+}
+
+// panicValue calls f and returns what it panicked with, or nil.
+func panicValue(f func()) (p any) {
+	defer func() { p = recover() }()
+	f()
+	return nil
+}
+
+// A panic inside a singleflight slot reaches every later caller of the
+// slot instead of leaving a nil trace with a nil error, and a matrix over
+// the workload fails with the panic as its error.
+func TestPanickingGeneratorFailsEveryCaller(t *testing.T) {
+	r := runner8(4)
+	r.Generate = func(string, int) (*trace.Trace, error) { panic("bad trace") }
+	for i := 0; i < 2; i++ {
+		var tr *trace.Trace
+		var err error
+		if p := panicValue(func() { tr, err = r.TraceAt("fft", 8) }); p != "bad trace" {
+			t.Fatalf("TraceAt call %d: panic %v, returned (%v, %v); want the generator's panic", i, p, tr, err)
+		}
+	}
+	jobs := []job{
+		{"fft", config.Baseline(1, config.MP6)},
+		{"fft", config.Baseline(4, config.MP6)},
+		{"fft", config.Baseline(8, config.MP6)},
+	}
+	_, err := r.runAll(jobs)
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Value != "bad trace" {
+		t.Fatalf("runAll err = %v, want the generator's panic", err)
 	}
 }

@@ -61,10 +61,16 @@ type Runner struct {
 	// when it finishes. The seam comasrv's span tracing hangs off.
 	// Called from worker goroutines; must be safe for concurrent use.
 	WrapSimulate func(app string, cfg config.Machine) func(err error)
+	// Generate, when non-nil, replaces the registry generator TraceAt
+	// calls on a trace-cache miss (apps.ByName(app).Generate(procs)):
+	// the seam comasrv's cross-request trace reuse hangs off. It must
+	// return the trace the registry would generate. Called from worker
+	// goroutines; must be safe for concurrent use.
+	Generate func(app string, procs int) (*trace.Trace, error)
 
 	mu      sync.Mutex
-	traces  map[traceKey]*traceCell
-	results map[runKey]*resultCell
+	traces  map[traceKey]func() (*trace.Trace, error)
+	results map[runKey]func() (*machine.Result, error)
 	// tracePins counts outstanding matrix jobs per trace; runAll pins
 	// before dispatch and releases as jobs finish, evicting the cached
 	// trace at zero so driver runs don't retain every workload at once.
@@ -82,21 +88,6 @@ type runKey struct {
 type traceKey struct {
 	app   string
 	procs int
-}
-
-// traceCell and resultCell are singleflight slots: the first goroutine to
-// claim the cell computes under its Once while latecomers block on the
-// same Once and then read the settled value.
-type traceCell struct {
-	once sync.Once
-	tr   *trace.Trace
-	err  error
-}
-
-type resultCell struct {
-	once sync.Once
-	res  *machine.Result
-	err  error
 }
 
 // NewRunner returns a Runner for the paper's 16-processor machine.
@@ -120,29 +111,35 @@ func (r *Runner) jobs() int {
 	return runtime.NumCPU()
 }
 
-func (r *Runner) traceCell(key traceKey) *traceCell {
+// traceCell and resultCell return a key's singleflight slot: the first
+// goroutine to call it computes under sync.OnceValues while latecomers
+// block on it and then read the settled values. A computation that panics
+// panics every caller of its slot with the same value (forEach turns that
+// into the job's error), rather than leaving a nil result with a nil
+// error behind.
+func (r *Runner) traceCell(key traceKey) func() (*trace.Trace, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.traces == nil {
-		r.traces = make(map[traceKey]*traceCell)
+		r.traces = make(map[traceKey]func() (*trace.Trace, error))
 	}
 	c, ok := r.traces[key]
 	if !ok {
-		c = new(traceCell)
+		c = sync.OnceValues(func() (*trace.Trace, error) { return r.generate(key) })
 		r.traces[key] = c
 	}
 	return c
 }
 
-func (r *Runner) resultCell(key runKey) *resultCell {
+func (r *Runner) resultCell(key runKey) func() (*machine.Result, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.results == nil {
-		r.results = make(map[runKey]*resultCell)
+		r.results = make(map[runKey]func() (*machine.Result, error))
 	}
 	c, ok := r.results[key]
 	if !ok {
-		c = new(resultCell)
+		c = sync.OnceValues(func() (*machine.Result, error) { return r.simulate(key.app, key.cfg) })
 		r.results[key] = c
 	}
 	return c
@@ -157,16 +154,20 @@ func (r *Runner) Trace(app string) (*trace.Trace, error) {
 // TraceAt returns the (cached) trace of a workload at an explicit
 // machine size (scaled drivers run several sizes through one runner).
 func (r *Runner) TraceAt(app string, procs int) (*trace.Trace, error) {
-	c := r.traceCell(traceKey{app: app, procs: procs})
-	c.once.Do(func() {
-		a, err := apps.ByName(app)
-		if err != nil {
-			c.err = err
-			return
-		}
-		c.tr = a.Generate(procs)
-	})
-	return c.tr, c.err
+	return r.traceCell(traceKey{app: app, procs: procs})()
+}
+
+// generate produces a trace for its cell, through the Generate seam when
+// one is set.
+func (r *Runner) generate(key traceKey) (*trace.Trace, error) {
+	if r.Generate != nil {
+		return r.Generate(key.app, key.procs)
+	}
+	a, err := apps.ByName(key.app)
+	if err != nil {
+		return nil, err
+	}
+	return a.Generate(key.procs), nil
 }
 
 // Run simulates one configuration, memoized and deduplicated: concurrent
@@ -181,11 +182,7 @@ func (r *Runner) Run(app string, cfg config.Machine) (*machine.Result, error) {
 	if cfg.Fidelity == (config.Fidelity{}) {
 		cfg.Fidelity = r.Fidelity
 	}
-	c := r.resultCell(runKey{app: app, cfg: cfg})
-	c.once.Do(func() {
-		c.res, c.err = r.simulate(app, cfg)
-	})
-	return c.res, c.err
+	return r.resultCell(runKey{app: app, cfg: cfg})()
 }
 
 // RunTrace simulates one configuration over a caller-supplied trace

@@ -30,7 +30,8 @@ func (h *LatencyHist) Buckets() []int64 {
 }
 
 func (h *LatencyHist) add(lat engine.Time) {
-	for i, b := range latBounds {
+	// Ranging over the array itself would copy it on every call.
+	for i, b := range latBounds[:] {
 		if lat <= b {
 			h.Counts[i]++
 			return

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/trace"
 )
 
@@ -70,4 +71,16 @@ func TestLatencyRecordedInResult(t *testing.T) {
 	if !strings.Contains(h.String(), "<=0ns") {
 		t.Fatalf("string %q", h.String())
 	}
+}
+
+var latSink LatencyHist
+
+// BenchmarkLatencyHistAdd times one bucket update, which every measured
+// read pays.
+func BenchmarkLatencyHistAdd(b *testing.B) {
+	var h LatencyHist
+	for i := 0; i < b.N; i++ {
+		h.add(engine.Time(i & 255))
+	}
+	latSink = h
 }

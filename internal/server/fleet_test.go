@@ -345,21 +345,22 @@ func TestFleetReplication(t *testing.T) {
 		}
 	}
 
+	// The secondary stores the entry before it counts the receipt, and
+	// the owner counts the push only once the PUT's response arrives, so
+	// wait for all three.
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		if _, ok := secondary.store.Get(key); ok {
+		_, ok := secondary.store.Get(key)
+		pushed := srvs[0].counters.replicationPushed.Load()
+		received := secondary.counters.replicationReceived.Load()
+		if ok && pushed >= 1 && received >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("entry never replicated to %s", reps[1].ID)
+			t.Fatalf("replication to %s: stored=%v, owner replication_pushed = %d, secondary replication_received = %d; want stored and both >= 1",
+				reps[1].ID, ok, pushed, received)
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-	if got := srvs[0].counters.replicationPushed.Load(); got < 1 {
-		t.Fatalf("owner replication_pushed = %d, want >= 1", got)
-	}
-	if got := secondary.counters.replicationReceived.Load(); got < 1 {
-		t.Fatalf("secondary replication_received = %d, want >= 1", got)
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"repro/internal/obs/tracing"
 	"repro/internal/obs/tsdb"
 	"repro/internal/server/store"
+	"repro/internal/trace"
 )
 
 // Config parameterizes the daemon.
@@ -100,6 +101,10 @@ type Server struct {
 
 	tracesMu sync.Mutex
 	traceIdx map[string]TraceMeta
+
+	// generated shares registry workload traces across cold requests
+	// for as long as the garbage collector keeps them.
+	generated traceCache
 
 	counters counters
 	obsSink  *lockedCounting
@@ -429,6 +434,16 @@ func (s *Server) newRunner(ctx context.Context, procs, jobs int) *experiments.Ru
 	r.OnSimulate = func(string, config.Machine) { s.counters.simsExecuted.Add(1) }
 	r.SinkFactory = func(string, config.Machine) obs.Sink { return s.obsSink }
 	parent := tracing.FromContext(ctx)
+	r.Generate = func(app string, procs int) (*trace.Trace, error) {
+		sp := parent.StartChild("trace.generate")
+		defer sp.End()
+		sp.SetAttr("app", app)
+		sp.SetAttr("procs", strconv.Itoa(procs))
+		tr, reused, err := s.generated.get(app, procs)
+		sp.SetAttr("reused", strconv.FormatBool(reused))
+		sp.SetErr(err)
+		return tr, err
+	}
 	r.WrapSimulate = func(app string, cfg config.Machine) func(error) {
 		sp := parent.StartChild("simulate")
 		sp.SetAttr("app", app)
@@ -482,7 +497,18 @@ func (s *Server) execute(ctx context.Context, key store.Key, nocache bool, weigh
 
 	s.counters.flightsExecuted.Add(1)
 	s.counters.activeFlights.Add(1)
-	fl.body, fl.err = func() ([]byte, error) {
+	fl.body, fl.err = func() (body []byte, err error) {
+		// A panicking computation fails its flight with a 500 that is
+		// never stored. Unrecovered, it would kill the daemon from an
+		// async job's goroutine, or leave the flight open so every later
+		// identical request waits until its context ends. A study's
+		// simulations run on the runner's pool workers, which recover
+		// their panics into the same error type.
+		defer func() {
+			if p := recover(); p != nil {
+				body, err = nil, &experiments.PanicError{Value: p, Stack: debug.Stack()}
+			}
+		}()
 		// Before spending a simulation slot, ask the shard that owns
 		// this content address (peer fill). Any failure — peer down,
 		// slow, a miss, a corrupt payload — falls through to compute.
@@ -494,7 +520,7 @@ func (s *Server) execute(ctx context.Context, key store.Key, nocache bool, weigh
 		}
 		qw := span.StartChild("queue.wait")
 		qstart := time.Now()
-		err := s.pool.AcquireBounded(ctx, weight, s.cfg.MaxQueue)
+		err = s.pool.AcquireBounded(ctx, weight, s.cfg.MaxQueue)
 		s.queueWait.Observe(time.Since(qstart).Seconds())
 		if errors.Is(err, errSaturated) {
 			s.counters.loadShed.Add(1)
@@ -518,6 +544,11 @@ func (s *Server) execute(ctx context.Context, key store.Key, nocache bool, weigh
 		return compute(ctx)
 	}()
 	s.counters.activeFlights.Add(-1)
+	var pe *experiments.PanicError
+	if errors.As(fl.err, &pe) {
+		s.logger.Error("computation panic", slog.String("key", key.String()),
+			slog.Any("panic", pe.Value), slog.String("stack", string(pe.Stack)))
+	}
 	if fl.err == nil && !nocache {
 		// A failed persist degrades to cache-miss behavior; the response
 		// is still correct. A peer-filled body is persisted too: the

@@ -51,7 +51,7 @@ func TestTraceRoundTrip(t *testing.T) {
 			t.Errorf("span %s carries trace %q", sp.Name, sp.TraceID)
 		}
 	}
-	for _, want := range []string{"POST /v1/simulate", "canonicalize", "store.lookup", "queue.wait", "simulate"} {
+	for _, want := range []string{"POST /v1/simulate", "canonicalize", "store.lookup", "queue.wait", "trace.generate", "simulate"} {
 		if names[want] == 0 {
 			t.Errorf("trace missing span %q (have %v)", want, names)
 		}
@@ -68,10 +68,14 @@ func TestTraceRoundTrip(t *testing.T) {
 			t.Errorf("canonicalize parent = %q, want root %q", sp.ParentID, rootID)
 		}
 	}
-	// The simulate span carries its workload attributes.
+	// The simulate span carries its workload attributes, and the first
+	// request on a fresh daemon generates its trace.
 	for _, sp := range td.Spans {
 		if sp.Name == "simulate" && sp.Attrs["app"] != "fft" {
 			t.Errorf("simulate attrs = %v", sp.Attrs)
+		}
+		if sp.Name == "trace.generate" && (sp.Attrs["app"] != "fft" || sp.Attrs["procs"] != "8" || sp.Attrs["reused"] != "false") {
+			t.Errorf("trace.generate attrs = %v, want app=fft procs=8 reused=false", sp.Attrs)
 		}
 	}
 }
