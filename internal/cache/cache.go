@@ -19,6 +19,32 @@ type Entry struct {
 	lru   uint64
 }
 
+// way is the stored form of an Entry: 16 bytes, so a 4-way set fits one
+// 64-byte host cache line. meta packs the state into its top 8 bits and
+// the LRU stamp into the low 56 (2^56 accesses to one cache would take
+// years of simulation, so the stamp never wraps). An empty way is all
+// zero: every path that invalidates a way clears it whole.
+type way struct {
+	line addrspace.Line
+	meta uint64
+}
+
+const (
+	stateShift = 56
+	lruMask    = 1<<stateShift - 1
+)
+
+func (w *way) state() State { return State(w.meta >> stateShift) }
+func (w *way) lru() uint64  { return w.meta & lruMask }
+
+func (w *way) entry() Entry {
+	return Entry{Line: w.line, State: w.state(), lru: w.lru()}
+}
+
+func packWay(l addrspace.Line, s State, lru uint64) way {
+	return way{line: l, meta: uint64(s)<<stateShift | lru&lruMask}
+}
+
 // Cache is a set-associative tag array with true-LRU replacement within a
 // set and an optional state-priority override for victim choice.
 type Cache struct {
@@ -26,7 +52,7 @@ type Cache struct {
 	sets  int
 	div   addrspace.Div // precomputed set-index divisor (fastmod)
 	ways  int
-	lines []Entry
+	lines []way
 	clock uint64
 	// victimRank ranks states for eviction: lower rank is evicted first.
 	// Nil means pure LRU. Invalid ways are always preferred regardless.
@@ -74,19 +100,19 @@ func (c *Cache) Capacity() int  { return c.sets * c.ways }
 func (c *Cache) Name() string   { return c.name }
 func (c *Cache) SizeBytes() int { return c.sets * c.ways * addrspace.LineSize }
 
-func (c *Cache) set(l addrspace.Line) []Entry {
+func (c *Cache) set(l addrspace.Line) []way {
 	s := l.SetIndexDiv(c.div)
 	return c.lines[s*c.ways : (s+1)*c.ways]
 }
 
-func (c *Cache) find(l addrspace.Line) *Entry {
+func (c *Cache) find(l addrspace.Line) *way {
 	set := c.set(l)
 	// Tag compare first: for non-matching ways (the common case) it fails
-	// in one comparison, where testing State first costs two. The State
-	// check still guards the hit — an invalidated way has Line zeroed, so
+	// in one comparison, where testing the state first costs two. The
+	// state check still guards the hit — an empty way has line zero, so
 	// it can only tag-match line 0.
 	for i := range set {
-		if set[i].Line == l && set[i].State != Invalid {
+		if set[i].line == l && set[i].meta != 0 {
 			return &set[i]
 		}
 	}
@@ -96,8 +122,8 @@ func (c *Cache) find(l addrspace.Line) *Entry {
 // Lookup returns the line's state and whether it is present (non-invalid).
 // It does not update LRU; use Touch for accesses.
 func (c *Cache) Lookup(l addrspace.Line) (State, bool) {
-	if e := c.find(l); e != nil {
-		return e.State, true
+	if w := c.find(l); w != nil {
+		return w.state(), true
 	}
 	return Invalid, false
 }
@@ -105,13 +131,14 @@ func (c *Cache) Lookup(l addrspace.Line) (State, bool) {
 // Touch marks an access to the line for LRU purposes and returns its
 // state. ok is false if the line is absent.
 func (c *Cache) Touch(l addrspace.Line) (State, bool) {
-	e := c.find(l)
-	if e == nil {
+	w := c.find(l)
+	if w == nil {
 		return Invalid, false
 	}
 	c.clock++
-	e.lru = c.clock
-	return e.State, true
+	st := w.state()
+	*w = packWay(l, st, c.clock)
+	return st, true
 }
 
 // SetState updates the state of a present line. It panics if the line is
@@ -121,17 +148,17 @@ func (c *Cache) SetState(l addrspace.Line, s State) {
 		c.Invalidate(l)
 		return
 	}
-	e := c.find(l)
-	if e == nil {
+	w := c.find(l)
+	if w == nil {
 		panic(fmt.Sprintf("cache %s: SetState on absent line %#x", c.name, uint64(l)))
 	}
-	e.State = s
+	*w = packWay(l, s, w.lru())
 }
 
 // Invalidate removes the line if present, reporting whether it was.
 func (c *Cache) Invalidate(l addrspace.Line) bool {
-	if e := c.find(l); e != nil {
-		*e = Entry{}
+	if w := c.find(l); w != nil {
+		*w = way{}
 		return true
 	}
 	return false
@@ -145,62 +172,59 @@ func (c *Cache) Insert(l addrspace.Line, s State) (victim Entry, evicted bool) {
 		panic(fmt.Sprintf("cache %s: inserting invalid state", c.name))
 	}
 	c.clock++
-	if e := c.find(l); e != nil {
-		e.State = s
-		e.lru = c.clock
-		return Entry{}, false
-	}
 	set := c.set(l)
-	slot := c.pickVictim(set)
-	if set[slot].State != Invalid {
-		victim, evicted = set[slot], true
+	slot, hit := c.scan(set, l)
+	if !hit && set[slot].meta != 0 {
+		victim, evicted = set[slot].entry(), true
 	}
-	set[slot] = Entry{Line: l, State: s, lru: c.clock}
+	set[slot] = packWay(l, s, c.clock)
 	return victim, evicted
 }
 
-// pickVictim chooses the way to fill: an invalid way if any, otherwise the
+// scan walks l's set once. hit reports that l is resident, at slot;
+// otherwise slot is the way to fill: the first empty way if any, else the
 // lowest (victimRank, lru) way.
-func (c *Cache) pickVictim(set []Entry) int {
-	best := -1
+func (c *Cache) scan(set []way, l addrspace.Line) (slot int, hit bool) {
+	best, free := -1, -1
 	for i := range set {
-		if set[i].State == Invalid {
-			return i
-		}
-		if best == -1 {
-			best = i
-			continue
-		}
-		if c.victimLess(&set[i], &set[best]) {
+		w := &set[i]
+		switch {
+		case w.meta == 0:
+			if free < 0 {
+				free = i
+			}
+		case w.line == l:
+			return i, true
+		case best < 0 || c.victimLess(w, &set[best]):
 			best = i
 		}
 	}
-	return best
+	if free >= 0 {
+		return free, false
+	}
+	return best, false
 }
 
-func (c *Cache) victimLess(a, b *Entry) bool {
+func (c *Cache) victimLess(a, b *way) bool {
 	if c.victimRank != nil {
-		ra, rb := c.victimRank(a.State), c.victimRank(b.State)
+		ra, rb := c.victimRank(a.state()), c.victimRank(b.state())
 		if ra != rb {
 			return ra < rb
 		}
 	}
-	return a.lru < b.lru
+	return a.lru() < b.lru()
 }
 
 // PeekVictim reports which entry Insert would evict for a line mapping to
 // l's set, without modifying anything. evicted is false if a free way
 // exists (or the line is already resident).
 func (c *Cache) PeekVictim(l addrspace.Line) (victim Entry, evicted bool) {
-	if c.find(l) != nil {
-		return Entry{}, false
-	}
 	set := c.set(l)
-	slot := c.pickVictim(set)
-	if set[slot].State == Invalid {
+	slot, hit := c.scan(set, l)
+	if hit || set[slot].meta == 0 {
 		return Entry{}, false
 	}
-	return set[slot], true
+	return set[slot].entry(), true
 }
 
 // HasState reports whether l's set contains at least one way whose state
@@ -209,7 +233,7 @@ func (c *Cache) PeekVictim(l addrspace.Line) (victim Entry, evicted bool) {
 func (c *Cache) HasState(l addrspace.Line, pred func(State) bool) bool {
 	set := c.set(l)
 	for i := range set {
-		if pred(set[i].State) {
+		if pred(set[i].state()) {
 			return true
 		}
 	}
@@ -222,26 +246,26 @@ func (c *Cache) VictimByState(l addrspace.Line, pred func(State) bool) (Entry, b
 	set := c.set(l)
 	best := -1
 	for i := range set {
-		if set[i].State == Invalid || !pred(set[i].State) {
+		if set[i].meta == 0 || !pred(set[i].state()) {
 			continue
 		}
-		if best == -1 || set[i].lru < set[best].lru {
+		if best == -1 || set[i].lru() < set[best].lru() {
 			best = i
 		}
 	}
 	if best == -1 {
 		return Entry{}, false
 	}
-	v := set[best]
-	set[best] = Entry{}
+	v := set[best].entry()
+	set[best] = way{}
 	return v, true
 }
 
 // ForEach visits every resident entry. Iteration order is unspecified.
 func (c *Cache) ForEach(fn func(Entry)) {
 	for i := range c.lines {
-		if c.lines[i].State != Invalid {
-			fn(c.lines[i])
+		if c.lines[i].meta != 0 {
+			fn(c.lines[i].entry())
 		}
 	}
 }
@@ -250,7 +274,7 @@ func (c *Cache) ForEach(fn func(Entry)) {
 func (c *Cache) CountState(pred func(State) bool) int {
 	n := 0
 	for i := range c.lines {
-		if c.lines[i].State != Invalid && pred(c.lines[i].State) {
+		if c.lines[i].meta != 0 && pred(c.lines[i].state()) {
 			n++
 		}
 	}

@@ -7,20 +7,20 @@ import "sync"
 // of a machine's steady allocations — are pooled by capacity. A recycled
 // array is cleared before reuse, making it indistinguishable from a
 // fresh one (simulation output stays byte-identical).
-var entryPools sync.Map // capacity -> *sync.Pool of *[]Entry
+var entryPools sync.Map // capacity -> *sync.Pool of *[]way
 
-func getLines(n int) []Entry {
+func getLines(n int) []way {
 	if p, ok := entryPools.Load(n); ok {
 		if v := p.(*sync.Pool).Get(); v != nil {
-			s := *(v.(*[]Entry))
+			s := *(v.(*[]way))
 			clear(s)
 			return s
 		}
 	}
-	return make([]Entry, n)
+	return make([]way, n)
 }
 
-func putLines(s []Entry) {
+func putLines(s []way) {
 	if len(s) == 0 {
 		return
 	}

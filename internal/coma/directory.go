@@ -136,10 +136,10 @@ type Hierarchy struct {
 }
 
 // NewHierarchy builds empty directories for a machine of `nodes` nodes in
-// `clusters` equal contiguous clusters. linesPerCluster sizes the bottom
-// tables (one cluster's total attraction-memory lines) so steady-state
-// maintenance never allocates.
-func NewHierarchy(nodes, clusters, linesPerCluster int) *Hierarchy {
+// `clusters` equal contiguous clusters. Like the protocol's index, each
+// table grows with the lines resident in its scope, so maintenance stops
+// allocating once the working set is resident.
+func NewHierarchy(nodes, clusters int) *Hierarchy {
 	if clusters <= 0 || nodes%clusters != 0 {
 		panic("coma: nodes must divide evenly into clusters")
 	}
@@ -149,9 +149,9 @@ func NewHierarchy(nodes, clusters, linesPerCluster int) *Hierarchy {
 		bottoms:  make([]DirectoryBottom, clusters),
 	}
 	for c := range h.bottoms {
-		h.bottoms[c].t = newLineTable(linesPerCluster)
+		h.bottoms[c].t = newLineTable()
 	}
-	h.root.t = newLineTable(clusters * linesPerCluster)
+	h.root.t = newLineTable()
 	return h
 }
 

@@ -115,7 +115,7 @@ var validStates = [3]cache.State{Shared, Owner, Exclusive}
 // The two-level directory answers every count/lookup query exactly like
 // the flat map reference under arbitrary permutations of inserts,
 // evictions and state migrations. Line counts deliberately exceed the
-// table sizing hint, so deletions keep triggering the lineTable's
+// tables' initial capacity, so deletions keep triggering the lineTable's
 // backward-shift compaction mid-sequence — the implementation detail
 // most likely to corrupt a neighbouring probe chain.
 func TestHierarchyMatchesFlatReference(t *testing.T) {
@@ -124,9 +124,9 @@ func TestHierarchyMatchesFlatReference(t *testing.T) {
 		clusters := 1 + int(cSel)%8
 		perClust := 1 + int(pcSel)%4
 		nodes := clusters * perClust
-		// Undersized tables: 8 lines of hint versus 40 distinct lines
-		// forces growth and dense probe chains.
-		h := NewHierarchy(nodes, clusters, 8)
+		// 40 distinct lines against 16-slot starting tables force
+		// growth and dense probe chains.
+		h := NewHierarchy(nodes, clusters)
 		f := newFlatDir(nodes, clusters)
 		lines := make([]addrspace.Line, 40)
 		for i := range lines {
@@ -176,7 +176,7 @@ func TestHierarchyMatchesFlatReference(t *testing.T) {
 // with no stale owner. This is the "no line lost (or resurrected)
 // across a ring hop" edge the incremental bookkeeping could get wrong.
 func TestHierarchyRetireAndReinsert(t *testing.T) {
-	h := NewHierarchy(4, 2, 8)
+	h := NewHierarchy(4, 2)
 	l := addrspace.Line(0x99)
 	h.OnTransition(0, l, cache.Invalid, Exclusive)
 	h.OnTransition(3, l, cache.Invalid, Shared)
@@ -203,7 +203,7 @@ func TestHierarchyRetireAndReinsert(t *testing.T) {
 // ring machine's per-reference hot path and must not allocate once the
 // tables have grown to their working size.
 func TestHierarchyMaintenanceZeroAlloc(t *testing.T) {
-	h := NewHierarchy(8, 4, 256)
+	h := NewHierarchy(8, 4)
 	lines := make([]addrspace.Line, 128)
 	for i := range lines {
 		lines[i] = addrspace.Line(0x1000 + i)

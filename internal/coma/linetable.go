@@ -9,40 +9,41 @@ import (
 // lineTable is the protocol's global directory: an open-addressed hash
 // table from line to lineInfo, purpose-built for the bus-snoop hot path.
 // Power-of-two capacity with linear probing keeps every lookup a
-// multiply, a shift and a short sequential scan; deletion backward-shifts
-// the probe chain closed, so there are no tombstones and probe lengths
-// never degrade over a run. The table is preallocated from the machine
-// geometry (total attraction-memory lines), so steady-state operation
-// never allocates; grow stays as a safety valve for tiny test geometries.
+// multiply, a shift and a short sequential scan over slots that hold the
+// key next to its info; deletion backward-shifts the probe chain closed,
+// so there are no tombstones and probe lengths never degrade over a run.
+// The table starts small and doubles at 75% load, so it is sized by the
+// lines actually resident — at low memory pressure far fewer than the
+// attraction memories could hold. Residency is capped by that capacity,
+// so a run stops growing once its working set is resident and the steady
+// state never allocates.
 //
 // An empty slot is one whose info.copies == 0: the protocol never stores
 // an entry without copies (a line with no copies anywhere is removed from
 // the directory), which put enforces.
 type lineTable struct {
-	keys    []addrspace.Line
-	infos   []lineInfo
+	slots   []lineSlot
 	n       int
 	maxLoad int
-	shift   uint // 64 - log2(len(keys)), for Fibonacci hashing
+	shift   uint // 64 - log2(len(slots)), for Fibonacci hashing
 }
 
-// newLineTable sizes the table for `lines` resident lines (the machine's
-// total attraction-memory capacity) with headroom so the load factor
-// stays below the grow threshold.
-func newLineTable(lines int) *lineTable {
-	capHint := lines + lines/2
-	slots := 16
-	for slots < capHint {
-		slots *= 2
-	}
+type lineSlot struct {
+	key  addrspace.Line
+	info lineInfo
+}
+
+// minLineSlots is a new table's capacity.
+const minLineSlots = 16
+
+func newLineTable() *lineTable {
 	t := &lineTable{}
-	t.alloc(slots)
+	t.alloc(minLineSlots)
 	return t
 }
 
 func (t *lineTable) alloc(slots int) {
-	t.keys = make([]addrspace.Line, slots)
-	t.infos = make([]lineInfo, slots)
+	t.slots = make([]lineSlot, slots)
 	t.maxLoad = slots - slots/4 // grow at 75% occupancy
 	t.shift = uint(64 - bits.TrailingZeros(uint(slots)))
 }
@@ -58,13 +59,14 @@ func (t *lineTable) len() int { return t.n }
 // get returns the line's info; a missing line yields the zero lineInfo,
 // matching the map semantics the table replaces.
 func (t *lineTable) get(l addrspace.Line) (lineInfo, bool) {
-	mask := uint64(len(t.keys) - 1)
+	mask := uint64(len(t.slots) - 1)
 	for i := t.slot(l); ; i = (i + 1) & mask {
-		if t.infos[i].copies == 0 {
+		s := &t.slots[i]
+		if s.info.copies == 0 {
 			return lineInfo{}, false
 		}
-		if t.keys[i] == l {
-			return t.infos[i], true
+		if s.key == l {
+			return s.info, true
 		}
 	}
 }
@@ -79,53 +81,51 @@ func (t *lineTable) put(l addrspace.Line, info lineInfo) {
 	if t.n >= t.maxLoad {
 		t.grow()
 	}
-	mask := uint64(len(t.keys) - 1)
+	mask := uint64(len(t.slots) - 1)
 	i := t.slot(l)
-	for t.infos[i].copies != 0 {
-		if t.keys[i] == l {
-			t.infos[i] = info
+	for t.slots[i].info.copies != 0 {
+		if t.slots[i].key == l {
+			t.slots[i].info = info
 			return
 		}
 		i = (i + 1) & mask
 	}
-	t.keys[i] = l
-	t.infos[i] = info
+	t.slots[i] = lineSlot{key: l, info: info}
 	t.n++
 }
 
 // del removes the line, if present, by backward-shifting the rest of the
 // probe chain into the hole so no tombstone is left behind.
 func (t *lineTable) del(l addrspace.Line) {
-	mask := uint64(len(t.keys) - 1)
+	mask := uint64(len(t.slots) - 1)
 	i := t.slot(l)
 	for {
-		if t.infos[i].copies == 0 {
+		if t.slots[i].info.copies == 0 {
 			return
 		}
-		if t.keys[i] == l {
+		if t.slots[i].key == l {
 			break
 		}
 		i = (i + 1) & mask
 	}
 	j := i
 	for {
-		t.infos[j].copies = 0
+		t.slots[j].info.copies = 0
 		k := (j + 1) & mask
 		for {
-			if t.infos[k].copies == 0 {
+			if t.slots[k].info.copies == 0 {
 				t.n--
 				return
 			}
 			// An entry may fill the hole only if its home slot does not
 			// lie between the hole and it (cyclic comparison): moving it
 			// back keeps it reachable from its home.
-			if (k-t.slot(t.keys[k]))&mask >= (k-j)&mask {
+			if (k-t.slot(t.slots[k].key))&mask >= (k-j)&mask {
 				break
 			}
 			k = (k + 1) & mask
 		}
-		t.keys[j] = t.keys[k]
-		t.infos[j] = t.infos[k]
+		t.slots[j] = t.slots[k]
 		j = k
 	}
 }
@@ -133,20 +133,20 @@ func (t *lineTable) del(l addrspace.Line) {
 // forEach visits every entry in table order (order is not meaningful;
 // callers must be order-independent).
 func (t *lineTable) forEach(fn func(addrspace.Line, lineInfo)) {
-	for i, info := range t.infos {
-		if info.copies != 0 {
-			fn(t.keys[i], info)
+	for _, s := range t.slots {
+		if s.info.copies != 0 {
+			fn(s.key, s.info)
 		}
 	}
 }
 
 func (t *lineTable) grow() {
-	oldKeys, oldInfos := t.keys, t.infos
-	t.alloc(2 * len(oldKeys))
+	old := t.slots
+	t.alloc(2 * len(old))
 	t.n = 0
-	for i, info := range oldInfos {
-		if info.copies != 0 {
-			t.put(oldKeys[i], info)
+	for _, s := range old {
+		if s.info.copies != 0 {
+			t.put(s.key, s.info)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package coma
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -60,30 +61,31 @@ func applyOp(tab *lineTable, ref refModel, rng *rand.Rand, l addrspace.Line, nod
 
 // TestLineTableVersusMap drives the open-addressed table and a plain map
 // through the same random insert/update/delete stream and requires them to
-// stay indistinguishable. The key regimes mirror the coherence tests: the
-// paper's 87%-capacity pressure (dense table, long probe chains, constant
-// churn) and a sparse regime where deletes dominate.
+// stay indistinguishable. Every table starts at its small initial size, so
+// each regime also drives it through its grows. The key regimes mirror the
+// coherence tests: the paper's 87%-capacity pressure (dense table, long
+// probe chains, constant churn) and a sparse regime where deletes
+// dominate.
 func TestLineTableVersusMap(t *testing.T) {
 	regimes := []struct {
 		name  string
 		lines int // key universe size
-		size  int // table sized for this many lines
 		ops   int
 	}{
 		// 4 nodes x 7 sets x 2 ways at 87% pressure, as in
-		// TestCoherenceRandomStream: the table runs near its design load.
-		{"paper-pressure", 4 * 7 * 2 * 87 / 100, 4 * 7 * 2, 30000},
-		// Tiny table forced through multiple grows.
-		{"grows", 4096, 1, 20000},
+		// TestCoherenceRandomStream.
+		{"paper-pressure", 4 * 7 * 2 * 87 / 100, 30000},
+		// A universe far above the initial size: multiple grows.
+		{"grows", 4096, 20000},
 		// Sparse: huge universe, most gets miss and most dels are no-ops.
-		{"sparse", 1 << 20, 64, 20000},
+		{"sparse", 1 << 20, 20000},
 	}
 	for _, reg := range regimes {
 		reg := reg
 		t.Run(reg.name, func(t *testing.T) {
 			const nodes = 4
 			rng := rand.New(rand.NewSource(7))
-			tab := newLineTable(reg.size)
+			tab := newLineTable()
 			ref := refModel{}
 			for i := 0; i < reg.ops; i++ {
 				l := addrspace.Line(rng.Intn(reg.lines) + 1)
@@ -106,7 +108,7 @@ func TestLineTableBackwardShift(t *testing.T) {
 		{0, 1, 2, 3}, {3, 2, 1, 0}, {1, 3, 0, 2}, {2, 0, 3, 1},
 	}
 	for pi, perm := range perms {
-		tab := newLineTable(1) // 16 slots -> guaranteed collisions at n=24... after grow
+		tab := newLineTable() // 24 keys in 16 slots: collisions, then a grow
 		ref := refModel{}
 		for i := 1; i <= n; i++ {
 			info := lineInfo{owner: int16(i % 4), copies: uint64(i)}
@@ -134,7 +136,7 @@ func TestLineTablePutRejectsEmptySentinel(t *testing.T) {
 			t.Fatal("expected panic for copies==0 entry")
 		}
 	}()
-	newLineTable(8).put(1, lineInfo{owner: 0, copies: 0})
+	newLineTable().put(1, lineInfo{owner: 0, copies: 0})
 }
 
 // FuzzLineTable feeds arbitrary operation streams to the table and the
@@ -148,7 +150,7 @@ func FuzzLineTable(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tab := newLineTable(4)
+		tab := newLineTable()
 		ref := refModel{}
 		for i := 0; i+1 < len(data); i += 2 {
 			l := addrspace.Line(data[i+1]&0x3f) + 1 // small universe -> collisions
@@ -179,10 +181,11 @@ func FuzzLineTable(f *testing.F) {
 }
 
 // TestLineTableZeroAlloc pins the directory's hot operations at zero
-// allocations per op once the table is at size (lookup, update, delete,
-// reinsert — the steady-state mix the bus snoop path performs).
+// allocations per op once the table has grown to its working size
+// (lookup, update, delete, reinsert — the steady-state mix the bus snoop
+// path performs).
 func TestLineTableZeroAlloc(t *testing.T) {
-	tab := newLineTable(64)
+	tab := newLineTable()
 	for i := 1; i <= 64; i++ {
 		tab.put(addrspace.Line(i), lineInfo{owner: 1, copies: 3})
 	}
@@ -246,5 +249,51 @@ func TestProtocolSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDirectorySizedByResidentLines pins the line tables' sizing at the
+// paper's 6% memory pressure, where each of 16 nodes' attraction memories
+// can hold the whole working set: the protocol index and the ring's
+// bottom and root directories end up sized by the lines actually
+// resident, not by the attraction-memory capacity.
+func TestDirectorySizedByResidentLines(t *testing.T) {
+	const (
+		nodes   = 16
+		ways    = 4
+		working = 4096 // distinct lines touched
+	)
+	sets := working/ways | 1 // as machine.Params sizes a 6%-pressure AM
+	h := NewHierarchy(nodes, 4)
+	p := NewProtocol(Config{Nodes: nodes, SetsPerAM: sets, Ways: ways, Transition: h.OnTransition})
+	rng := rand.New(rand.NewSource(6))
+	for i := 0; i < 16*working; i++ {
+		l := addrspace.Line(rng.Intn(working) + 1)
+		if i%3 == 0 {
+			p.Write(rng.Intn(nodes), l)
+		} else {
+			p.Read(rng.Intn(nodes), l)
+		}
+	}
+	if err := h.Check(p); err != nil {
+		t.Fatal(err)
+	}
+	if p.index.len() != working {
+		t.Fatalf("index holds %d lines, want all %d resident", p.index.len(), working)
+	}
+	// A table that doubles at 75% load ends with at most 8/3 slots per
+	// line it ever held; the attraction memories hold 16 per line.
+	limit := working * 8 / 3
+	if am := nodes * sets * ways; 4*limit > am {
+		t.Fatalf("test premise: %d AM lines is not far above the %d-slot limit", am, limit)
+	}
+	tables := map[string]*lineTable{"index": p.index, "root": h.root.t}
+	for c := range h.bottoms {
+		tables[fmt.Sprintf("bottom %d", c)] = h.bottoms[c].t
+	}
+	for name, tab := range tables {
+		if n := len(tab.slots); n > limit {
+			t.Errorf("%s: %d slots for at most %d resident lines (limit %d)", name, n, working, limit)
+		}
 	}
 }

@@ -33,19 +33,16 @@ func (m *Machine) CheckState() error {
 	}
 	for _, p := range m.procs {
 		am := m.prot.AM(p.node)
-		var err error
-		p.l1.ForEach(func(e cache.Entry) {
-			if err != nil {
-				return
+		for _, tag := range p.l1.tags {
+			if tag == 0 {
+				continue
 			}
-			if _, ok := am.Lookup(e.Line); !ok {
-				err = fmt.Errorf("machine: proc %d L1 line %#x not in node %d AM (inclusion)",
-					p.id, uint64(e.Line), p.node)
+			if _, ok := am.Lookup(tag - 1); !ok {
+				return fmt.Errorf("machine: proc %d L1 line %#x not in node %d AM (inclusion)",
+					p.id, uint64(tag-1), p.node)
 			}
-		})
-		if err != nil {
-			return err
 		}
+		var err error
 		p.slc.ForEach(func(e cache.Entry) {
 			if err != nil {
 				return

@@ -393,7 +393,7 @@ func (m *Machine) ffRead(p *proc, a addrspace.Addr) {
 		}
 		return
 	}
-	if _, ok := p.l1.Touch(l); ok {
+	if p.l1.has(l) {
 		p.ffLines[i] = l
 		p.ffValid |= bit
 		p.ffWritable &^= bit
@@ -430,7 +430,7 @@ func (m *Machine) ffRead(p *proc, a addrspace.Addr) {
 }
 
 // ffWrite is doWrite's fast-forward twin. A memo-writable hit skips the
-// L1 touch, the state compare and the (idempotent within a burst)
+// L1 probe, the state compare and the (idempotent within a burst)
 // sibling invalidations, but still refreshes the SLC recency stream so
 // later replacement decisions match detailed execution exactly.
 func (m *Machine) ffWrite(p *proc, a addrspace.Addr) {
@@ -444,10 +444,7 @@ func (m *Machine) ffWrite(p *proc, a addrspace.Addr) {
 		p.slc.Touch(l)
 		return
 	}
-	inL1 := false
-	if _, ok := p.l1.Touch(l); ok {
-		inL1 = true
-	}
+	inL1 := p.l1.has(l)
 	if st, ok := p.slc.Touch(l); ok && st == cacheDirty {
 		if !m.params.Policy.WriteUpdate {
 			m.invalidateSiblings(p, l)

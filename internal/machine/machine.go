@@ -41,8 +41,9 @@ type proc struct {
 	refs     *trace.Stream
 	pc       int
 
-	l1, slc *cache.Cache
-	slcRes  *engine.Resource
+	l1     l1Cache
+	slc    *cache.Cache
+	slcRes *engine.Resource
 
 	// Write buffer (release consistency): fixed-capacity ring of in-flight
 	// drains (head wbHead, length wbLen), so steady-state retirement never
@@ -73,6 +74,38 @@ type proc struct {
 	ffWritable uint64
 
 	st ProcStats
+}
+
+// l1Cache is a processor's first-level cache. It is direct-mapped, so a
+// set holds one line and has only one possible victim: no ways and no
+// replacement state. tags[s] stores the resident line plus one, making
+// zero the empty marker (a Line is an Addr over 64, below 2^58, so the
+// +1 cannot wrap).
+type l1Cache struct {
+	tags []addrspace.Line
+	div  addrspace.Div
+}
+
+func newL1Cache(sets int) l1Cache {
+	return l1Cache{tags: make([]addrspace.Line, sets), div: addrspace.NewDiv(sets)}
+}
+
+func (c *l1Cache) has(l addrspace.Line) bool {
+	return c.tags[l.SetIndexDiv(c.div)] == l+1
+}
+
+// insert fills l's set and reports the line it displaced, if any.
+func (c *l1Cache) insert(l addrspace.Line) (victim addrspace.Line, evicted bool) {
+	s := l.SetIndexDiv(c.div)
+	old := c.tags[s]
+	c.tags[s] = l + 1
+	return old - 1, old != 0 && old != l+1
+}
+
+func (c *l1Cache) invalidate(l addrspace.Line) {
+	if s := l.SetIndexDiv(c.div); c.tags[s] == l+1 {
+		c.tags[s] = 0
+	}
 }
 
 // lockState serializes a spin lock.
@@ -131,7 +164,7 @@ type Machine struct {
 	hier   *coma.Hierarchy
 	nodes  []*nodeRes
 	procs  []*proc
-	ready  procHeap
+	ready  procTree
 	locks  map[uint32]*lockState
 	bar    barrierState
 
@@ -199,8 +232,7 @@ func NewWithMem(p Params, buildMem func(purge func(node int, l addrspace.Line, e
 	if buildMem == nil {
 		var transition func(node int, l addrspace.Line, from, to cache.State)
 		if ring {
-			perCluster := nodes / p.Topology.Clusters
-			m.hier = coma.NewHierarchy(nodes, p.Topology.Clusters, perCluster*amSets*p.AMWays)
+			m.hier = coma.NewHierarchy(nodes, p.Topology.Clusters)
 			transition = m.hier.OnTransition
 		}
 		m.prot = coma.NewProtocol(coma.Config{
@@ -236,7 +268,7 @@ func NewWithMem(p Params, buildMem func(purge func(node int, l addrspace.Line, e
 		m.procs[i] = &proc{
 			id:     i,
 			node:   i / p.ProcsPerNode,
-			l1:     cache.New(cache.Config{Name: fmt.Sprintf("l1-%d", i), Sets: l1Sets, Ways: 1}),
+			l1:     newL1Cache(l1Sets),
 			slc:    cache.New(cache.Config{Name: fmt.Sprintf("slc-%d", i), Sets: slcSets, Ways: 4}),
 			slcRes: engine.NewResource(fmt.Sprintf("slcres-%d", i)),
 			wb:     make([]wbEntry, p.WriteBufferDepth),
@@ -248,12 +280,12 @@ func NewWithMem(p Params, buildMem func(purge func(node int, l addrspace.Line, e
 	return m, nil
 }
 
-// Release returns the machine's pooled state (cache entry arrays) for
-// reuse by later machines. The machine must not be used afterwards.
-// Optional: an unreleased machine is simply collected by the GC.
+// Release returns the machine's pooled state (SLC and attraction-memory
+// tag arrays) for reuse by later machines. The machine must not be used
+// afterwards. Optional: an unreleased machine is simply collected by the
+// GC.
 func (m *Machine) Release() {
 	for _, p := range m.procs {
-		p.l1.Release()
 		p.slc.Release()
 	}
 	if m.prot != nil {
@@ -321,7 +353,7 @@ func (m *Machine) onPurge(node int, l addrspace.Line, evict bool) {
 	}
 	first := node * m.params.ProcsPerNode
 	for i := first; i < first+m.params.ProcsPerNode; i++ {
-		m.procs[i].l1.Invalidate(l)
+		m.procs[i].l1.invalidate(l)
 		if st, ok := m.procs[i].slc.Lookup(l); ok && st == cacheDirty {
 			m.dirtyPurges++
 		}
@@ -355,8 +387,8 @@ func (m *Machine) Run(tr *trace.Trace) (*Result, error) {
 // cancelCheckInterval is how many scheduler iterations pass between
 // context-cancellation checks in RunContext. A channel poll costs a few
 // nanoseconds; amortized over this many steps it is invisible next to the
-// ~80 ns/ref simulation cost, while still bounding cancellation latency
-// to well under a millisecond of wall clock.
+// simulation's tens of nanoseconds per reference, while still bounding
+// cancellation latency to well under a millisecond of wall clock.
 const cancelCheckInterval = 4096
 
 // RunContext is Run with cooperative cancellation: when ctx is cancelled
@@ -369,14 +401,14 @@ func (m *Machine) RunContext(ctx context.Context, tr *trace.Trace) (*Result, err
 	}
 	for i, p := range m.procs {
 		p.refs = &tr.Streams[i]
-		m.ready.touch(int32(i))
+		m.ready.fix(int32(i))
 	}
 	done := ctx.Done() // nil when ctx can never be cancelled
 	steps := 0
 	// Step the (clock, id)-minimum processor in place. The order is a
 	// strict total order, so while a step leaves p's clock unchanged —
 	// L1-hit loads, stores absorbed by the write buffer — p is still the
-	// unique minimum and can keep stepping with no heap work at all:
+	// unique minimum and can keep stepping with no tree work at all:
 	// every path that wakes another processor (release, barrier exit)
 	// also advances p's clock, so no other key can have moved meanwhile.
 	for {
@@ -405,6 +437,12 @@ func (m *Machine) RunContext(ctx context.Context, tr *trace.Trace) (*Result, err
 					break
 				}
 			}
+		}
+		if uint64(p.t) >= m.ready.maxClock {
+			// Only an uploaded trace's compute records can push a clock
+			// this far; it would overflow the scheduler's keys (and any
+			// wake this step made used the same clock).
+			return nil, fmt.Errorf("machine: proc %d clock %d ns is beyond the simulator's range", p.id, p.t)
 		}
 		if p.done || p.blocked {
 			m.ready.remove(id)
@@ -435,7 +473,7 @@ func refAt(p *proc) string {
 func (m *Machine) step(p *proc) {
 	m.now = p.t
 	if m.sampler != nil {
-		// Scheduler time is non-decreasing (the heap steps the global
+		// Scheduler time is non-decreasing (the tree steps the global
 		// (clock, id) minimum), so this closes every window the clock
 		// passed.
 		m.sampler.Advance(int64(p.t))
@@ -501,7 +539,7 @@ func (m *Machine) doRead(p *proc, a addrspace.Addr) {
 		m.sampler.NoteAccess(false)
 	}
 	l := addrspace.LineOf(a)
-	if _, ok := p.l1.Touch(l); ok {
+	if p.l1.has(l) {
 		if m.measuring {
 			m.latency.add(0) // L1 hit: 0 ns (paper)
 		}
@@ -552,12 +590,12 @@ func (m *Machine) doRead(p *proc, a addrspace.Addr) {
 // fast-forward memo (the eviction drop keeps the memo's L1-residency
 // claims exact).
 func (m *Machine) l1Insert(p *proc, l addrspace.Line) {
-	victim, evicted := p.l1.Insert(l, cacheValid)
+	victim, evicted := p.l1.insert(l)
 	if m.ff == nil {
 		return
 	}
 	if evicted {
-		p.ffDrop(victim.Line)
+		p.ffDrop(victim)
 	}
 	i := uint64(l) & 63
 	bit := uint64(1) << i
@@ -584,7 +622,7 @@ func (m *Machine) slcInsert(p *proc, l addrspace.Line, st cache.State) {
 	if !evicted {
 		return
 	}
-	p.l1.Invalidate(victim.Line)
+	p.l1.invalidate(victim.Line)
 	if m.ff != nil {
 		p.ffDrop(victim.Line)
 	}
@@ -648,7 +686,7 @@ func (m *Machine) doWrite(p *proc, a addrspace.Addr) {
 		m.sampler.NoteAccess(true)
 	}
 	l := addrspace.LineOf(a)
-	p.l1.Touch(l) // L1 is write-through into the SLC
+	// The L1 is write-through into the SLC, so a store never probes it.
 	if st, ok := p.slc.Touch(l); ok && st == cacheDirty {
 		p.slcRes.Claim(p.t, DefaultSLCWrite) // write-port pressure only
 		if !m.params.Policy.WriteUpdate {
@@ -725,7 +763,7 @@ func (m *Machine) invalidateSiblings(p *proc, l addrspace.Line) {
 		if i == p.id {
 			continue
 		}
-		m.procs[i].l1.Invalidate(l)
+		m.procs[i].l1.invalidate(l)
 		m.procs[i].slc.Invalidate(l)
 		if m.ff != nil {
 			m.procs[i].ffDrop(l)
@@ -947,7 +985,7 @@ func (m *Machine) doRelease(p *proc, r trace.Ref) {
 	}
 	w.t = engine.Max(w.t, p.t)
 	w.blocked = false
-	m.ready.touch(int32(w.id))
+	m.ready.fix(int32(w.id))
 }
 
 // doBarrier implements global barriers and the measured-section marker.
@@ -993,7 +1031,7 @@ func (m *Machine) doBarrier(p *proc, r trace.Ref) {
 			q.st.Sync += tmax - b.arriveAt[i]
 		}
 		q.t = tmax
-		m.ready.touch(int32(q.id))
+		m.ready.fix(int32(q.id))
 	}
 	b.active = false
 	if b.measure {

@@ -1,136 +1,78 @@
 package machine
 
-import "repro/internal/engine"
+import "math/bits"
 
-// procHeap is an index min-heap over runnable processors ordered by
-// (local clock, processor id). It replaces the O(P) linear scan that
-// previously picked the next processor to step.
+// procTree is a tournament tree over processor ids that picks the next
+// processor to step: the runnable one with the smallest (local clock,
+// processor id).
 //
-// Determinism: the old scan kept the first processor with the strictly
-// smallest clock, i.e. the lowest-id processor among those tied at the
-// minimum. The heap's ordering is the lexicographic (clock, id) pair — a
-// strict total order, since ids are unique — so peek() returns exactly
-// the processor the scan would have picked and the simulation schedule,
-// and therefore every output, is byte-identical.
+// Determinism: the order is the lexicographic (clock, id) pair — a strict
+// total order, since ids are unique — so peek returns exactly the
+// processor an O(P) scan for the lowest id among the minimum clocks would
+// pick, and the simulation schedule, and therefore every output, is
+// fixed by the trace alone.
 //
-// The main loop steps the minimum in place (peek, step, fix) rather than
-// popping and reinserting: a step usually moves the clock a little, so
-// one sift-down from the current position beats a full delete-min plus
-// insert. Steps that leave the clock unchanged (L1-hit loads, buffered
-// stores) need no heap work at all — see Machine.Run.
+// A key packs the pair into one integer, clock<<shift | id, so comparing
+// keys compares (clock, id) and a match is a single min. Leaf id sits at
+// index n+id (n is P rounded up to a power of two, shift its log2) and
+// every internal node i holds the smaller key of its children 2i and
+// 2i+1, so the root (index 1) holds the overall minimum. Blocked,
+// finished and padding leaves carry notQueued, which loses to every real
+// key. A key change replays the log2(n) matches on one leaf's path to
+// the root: no swaps and no position index.
 //
-// ids is the heap array of processor ids, ts the parallel array of their
-// cached clocks (the sort key, refreshed by touch/fix so comparisons
-// never chase proc pointers); pos[id] is id's index in ids, or -1 when
-// the processor is not enqueued (blocked or done). All arrays are
-// preallocated at machine construction; no heap operation allocates.
-type procHeap struct {
-	procs []*proc
-	ids   []int32
-	ts    []engine.Time
-	pos   []int32
+// A clock must stay below maxClock (2^57 ns, years of simulated time, at
+// 128 processors); the run loop checks every stepped clock against it.
+type procTree struct {
+	procs    []*proc
+	n        int
+	shift    uint
+	maxClock uint64 // clocks at or above this do not fit a key
+	key      []uint64
 }
 
-func (h *procHeap) init(procs []*proc) {
+// notQueued is the key of a processor that is not runnable.
+const notQueued = ^uint64(0)
+
+func (h *procTree) init(procs []*proc) {
 	h.procs = procs
-	h.ids = make([]int32, 0, len(procs))
-	h.ts = make([]engine.Time, 0, len(procs))
-	h.pos = make([]int32, len(procs))
-	for i := range h.pos {
-		h.pos[i] = -1
+	h.n = 1
+	for h.n < len(procs) {
+		h.n *= 2
+	}
+	h.shift = uint(bits.TrailingZeros(uint(h.n)))
+	h.maxClock = notQueued >> h.shift
+	h.key = make([]uint64, 2*h.n)
+	for i := range h.key {
+		h.key[i] = notQueued
 	}
 }
 
-func (h *procHeap) less(i, j int) bool {
-	if h.ts[i] != h.ts[j] {
-		return h.ts[i] < h.ts[j]
-	}
-	return h.ids[i] < h.ids[j]
-}
-
-func (h *procHeap) swap(i, j int) {
-	h.ids[i], h.ids[j] = h.ids[j], h.ids[i]
-	h.ts[i], h.ts[j] = h.ts[j], h.ts[i]
-	h.pos[h.ids[i]] = int32(i)
-	h.pos[h.ids[j]] = int32(j)
-}
-
-func (h *procHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h.swap(i, parent)
-		i = parent
+// set stores id's key and replays the matches on its path to the root.
+func (h *procTree) set(id int32, k uint64) {
+	i := h.n + int(id)
+	h.key[i] = k
+	for i > 1 {
+		k = min(k, h.key[i^1])
+		i >>= 1
+		h.key[i] = k
 	}
 }
 
-func (h *procHeap) down(i int) {
-	n := len(h.ids)
-	for {
-		kid := 2*i + 1
-		if kid >= n {
-			return
-		}
-		if r := kid + 1; r < n && h.less(r, kid) {
-			kid = r
-		}
-		if !h.less(kid, i) {
-			return
-		}
-		h.swap(i, kid)
-		i = kid
-	}
-}
-
-// touch enqueues processor id, or refreshes its key and repositions it if
-// already enqueued (its clock may have advanced). Safe to call from any
-// wake site; a wake that already enqueued the stepping processor (barrier
-// self-release) composes with the main loop's fix because both are
-// idempotent.
-func (h *procHeap) touch(id int32) {
-	if i := h.pos[id]; i >= 0 {
-		h.fix(id)
-		return
-	}
-	h.ids = append(h.ids, id)
-	h.ts = append(h.ts, h.procs[id].t)
-	h.pos[id] = int32(len(h.ids) - 1)
-	h.up(len(h.ids) - 1)
-}
-
-// peek returns the runnable processor with the smallest (clock, id)
-// without removing it; ok is false when no processor is runnable.
-func (h *procHeap) peek() (int32, bool) {
-	if len(h.ids) == 0 {
-		return 0, false
-	}
-	return h.ids[0], true
-}
-
-// fix refreshes id's key from its processor clock and restores heap order
-// around it. Clocks only move forward, so the sift-down almost always
-// suffices; the sift-up covers repositioning after an unrelated removal.
-func (h *procHeap) fix(id int32) {
-	i := int(h.pos[id])
-	h.ts[i] = h.procs[id].t
-	h.down(i)
-	h.up(int(h.pos[id]))
+// fix enqueues processor id, or refreshes its key from its clock if it is
+// already enqueued. It is idempotent, so a wake site that re-enqueues the
+// stepping processor (barrier self-release) composes with the run loop's
+// own fix.
+func (h *procTree) fix(id int32) {
+	h.set(id, uint64(h.procs[id].t)<<h.shift|uint64(id))
 }
 
 // remove dequeues processor id (it blocked or finished).
-func (h *procHeap) remove(id int32) {
-	i := int(h.pos[id])
-	last := len(h.ids) - 1
-	if i != last {
-		h.swap(i, last)
-	}
-	h.ids = h.ids[:last]
-	h.ts = h.ts[:last]
-	h.pos[id] = -1
-	if i < last {
-		h.down(i)
-		h.up(i)
-	}
+func (h *procTree) remove(id int32) { h.set(id, notQueued) }
+
+// peek returns the runnable processor with the smallest (clock, id)
+// without removing it; ok is false when no processor is runnable.
+func (h *procTree) peek() (int32, bool) {
+	k := h.key[1]
+	return int32(k & (1<<h.shift - 1)), k != notQueued
 }

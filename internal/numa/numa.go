@@ -7,11 +7,12 @@ import (
 	"repro/internal/coma"
 )
 
-// lineState is the directory's view of one line.
+// lineState is the directory's view of one line. The sharer bitmask is as
+// wide as the machine's 64-node limit (machine.Params.Validate).
 type lineState struct {
 	home    int16
 	dirty   int16 // node whose SLC holds the line dirty; -1 if clean
-	sharers uint32
+	sharers uint64
 }
 
 // Directory is the home-based coherence directory; it implements

@@ -80,6 +80,28 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 	}
 }
 
+// Sharers on nodes 32..63 must be recorded — and therefore invalidated —
+// like any other: the sharer mask spans the machine's 64-node limit.
+func TestWriteInvalidatesHighNodeSharers(t *testing.T) {
+	purged := map[int]bool{}
+	d := New(64, func(n int, l addrspace.Line, e bool) { purged[n] = true }, nil)
+	d.Read(0, 5)
+	d.Read(40, 5)
+	d.Read(63, 5)
+	d.Write(1, 5)
+	for _, n := range []int{0, 40, 63} {
+		if !purged[n] {
+			t.Errorf("node %d's copy was not invalidated (purged %v)", n, purged)
+		}
+	}
+	if len(purged) != 3 {
+		t.Errorf("purged %v, want exactly nodes 0, 40 and 63", purged)
+	}
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestUpgradeFromSharer(t *testing.T) {
 	d := dir(4)
 	d.Write(0, 5)
