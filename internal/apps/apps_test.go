@@ -30,7 +30,7 @@ func TestChunk(t *testing.T) {
 }
 
 // Traces are fully deterministic: generating twice yields identical
-// streams.
+// streams, and the same bytes as the pinned digests recorded.
 func TestDeterministicGeneration(t *testing.T) {
 	for _, name := range []string{"fft", "radix", "water-sp", "graph-bfs", "pchase", "alloc-churn"} {
 		app, err := ByName(name)
@@ -46,6 +46,9 @@ func TestDeterministicGeneration(t *testing.T) {
 			if !reflect.DeepEqual(a.Streams[p], b.Streams[p]) {
 				t.Fatalf("%s: proc %d streams differ", name, p)
 			}
+		}
+		if d, want := compactDigest(a), pinnedDigests[name+"/16"]; d != want {
+			t.Fatalf("%s/16: COMATRC2 digest %s, pinned %s", name, d, want)
 		}
 	}
 }

@@ -50,6 +50,27 @@ func TestTraceUploadRoundTrip(t *testing.T) {
 	if meta.Digest == "" || meta.Procs != 4 || meta.Name != tr.Name {
 		t.Fatalf("bad upload meta: %+v", meta)
 	}
+	// The record counts are the trace's own, tallied here independently.
+	var reads, writes, barriers int64
+	for p := range tr.Streams {
+		for _, r := range tr.Streams[p].Refs() {
+			switch r.Kind {
+			case trace.Read:
+				reads++
+			case trace.Write:
+				writes++
+			case trace.Barrier:
+				barriers++
+			}
+		}
+	}
+	if reads == 0 || writes == 0 || barriers == 0 {
+		t.Fatalf("test trace lacks a record kind: %d reads, %d writes, %d barriers", reads, writes, barriers)
+	}
+	if meta.Reads != reads || meta.Writes != writes || meta.Barriers != barriers {
+		t.Fatalf("upload meta counts %d/%d/%d reads/writes/barriers, trace has %d/%d/%d",
+			meta.Reads, meta.Writes, meta.Barriers, reads, writes, barriers)
+	}
 	// Idempotent: identical bytes re-upload to the same digest.
 	again, err := c.UploadTrace(ctx, payload)
 	if err != nil {

@@ -91,7 +91,7 @@ type TraceList struct {
 }
 
 func traceMetaOf(digest string, tr *trace.Trace, sizeBytes int64) TraceMeta {
-	sum := tr.Summarize()
+	sum := tr.Counts()
 	return TraceMeta{
 		Digest:          digest,
 		Name:            tr.Name,

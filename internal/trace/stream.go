@@ -58,13 +58,16 @@ func (s *Stream) Kind(i int) Kind {
 }
 
 // Append adds r to the stream.
-func (s *Stream) Append(r Ref) {
+func (s *Stream) Append(r Ref) { s.ops = append(s.ops, pack(r, &s.side)) }
+
+// pack returns r's op word: r itself when it packs inline, otherwise an
+// indirect record pointing at r, which it appends to *side.
+func pack(r Ref, side *[]Ref) uint64 {
 	if op, ok := inlineOp(r); ok {
-		s.ops = append(s.ops, op)
-		return
+		return op
 	}
-	s.ops = append(s.ops, opIndirectShift|uint64(len(s.side)))
-	s.side = append(s.side, r)
+	*side = append(*side, r)
+	return opIndirectShift | uint64(len(*side)-1)
 }
 
 // inlineOp packs r into a single op word when it is in canonical form
@@ -88,21 +91,6 @@ func inlineOp(r Ref) (uint64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// addCompute extends the trailing Compute record by d and reports whether
-// it could (the builder's coalescing fast path).
-func (s *Stream) addCompute(d engine.Time) bool {
-	n := len(s.ops) - 1
-	if n < 0 || s.ops[n]>>opKindShift != uint64(Compute) {
-		return false
-	}
-	sum := s.ops[n]&opPayloadMask + uint64(d)
-	if sum > opPayloadMask {
-		return false
-	}
-	s.ops[n] = uint64(Compute)<<opKindShift | sum
-	return true
 }
 
 // Refs materializes the stream as the old boxed form. For tools and

@@ -92,7 +92,8 @@ func (t *Trace) MemBytes() int {
 // Validate checks structural invariants: stream count, barrier pairing is
 // not checked here (the machine enforces it), but every stream must
 // contain exactly one MeasureStart and addresses must be non-zero for
-// memory operations.
+// memory operations. It scans op words, decoding only the records that
+// live in the side table, which it checks exactly as At would return them.
 func (t *Trace) Validate() error {
 	if len(t.Streams) != t.Procs {
 		return fmt.Errorf("trace %s: %d streams for %d procs", t.Name, len(t.Streams), t.Procs)
@@ -100,19 +101,30 @@ func (t *Trace) Validate() error {
 	for p := range t.Streams {
 		st := &t.Streams[p]
 		measures := 0
-		for i := 0; i < st.Len(); i++ {
-			r := st.At(i)
-			switch r.Kind {
-			case Read, Write, Acquire, Release:
-				if r.Addr == 0 {
-					return fmt.Errorf("trace %s: proc %d ref %d (%s) has zero address", t.Name, p, i, r.Kind)
+		for i, op := range st.ops {
+			switch k := Kind(op >> opKindShift); k {
+			case Read, Write:
+				if op&opPayloadMask == 0 {
+					return errZeroAddr(t, p, i, k)
 				}
-			case Compute:
-				if r.Dur < 0 {
-					return fmt.Errorf("trace %s: proc %d ref %d negative compute", t.Name, p, i)
-				}
+			case Compute, Barrier:
+				// An inline duration is unsigned; barrier ids carry no check.
 			case MeasureStart:
 				measures++
+			default:
+				r := st.side[op&opPayloadMask]
+				switch r.Kind {
+				case Read, Write, Acquire, Release:
+					if r.Addr == 0 {
+						return errZeroAddr(t, p, i, r.Kind)
+					}
+				case Compute:
+					if r.Dur < 0 {
+						return fmt.Errorf("trace %s: proc %d ref %d negative compute", t.Name, p, i)
+					}
+				case MeasureStart:
+					measures++
+				}
 			}
 		}
 		if measures != 1 {
@@ -122,47 +134,82 @@ func (t *Trace) Validate() error {
 	return nil
 }
 
-// Stats summarizes a trace for inspection tools and tests.
-type Stats struct {
+func errZeroAddr(t *Trace, p, i int, k Kind) error {
+	return fmt.Errorf("trace %s: proc %d ref %d (%s) has zero address", t.Name, p, i, k)
+}
+
+// Counts tallies a trace's records by kind.
+type Counts struct {
 	Reads, Writes      int64
 	Acquires, Barriers int64
 	ComputeTotal       engine.Time
+}
+
+// Stats summarizes a trace for inspection tools and tests.
+type Stats struct {
+	Counts
 	// DistinctLines is the number of distinct cache lines touched.
 	DistinctLines int
 	// SharedLines is the number of lines touched by 2+ processors.
 	SharedLines int
 }
 
-// Summarize scans the whole trace. It is O(refs) and allocates a map over
-// touched lines; intended for tools and tests, not the simulation loop.
-func (t *Trace) Summarize() Stats {
-	var s Stats
-	touched := make(map[addrspace.Line]uint32) // bitmap of procs per line
+// Counts scans the whole trace once and tallies its records. It
+// allocates nothing, so it suits request paths that Summarize's line map
+// would slow down.
+func (t *Trace) Counts() Counts {
+	var c Counts
 	for p := range t.Streams {
 		st := &t.Streams[p]
 		for i := 0; i < st.Len(); i++ {
 			r := st.At(i)
 			switch r.Kind {
 			case Read:
-				s.Reads++
-				touched[addrspace.LineOf(r.Addr)] |= 1 << uint(p%32)
+				c.Reads++
 			case Write:
-				s.Writes++
-				touched[addrspace.LineOf(r.Addr)] |= 1 << uint(p%32)
+				c.Writes++
 			case Compute:
-				s.ComputeTotal += r.Dur
+				c.ComputeTotal += r.Dur
 			case Acquire:
-				s.Acquires++
+				c.Acquires++
 			case Barrier:
-				s.Barriers++
+				c.Barriers++
+			}
+		}
+	}
+	return c
+}
+
+// sharedLine marks a line in Summarize's first-toucher map once a second
+// processor has touched it.
+const sharedLine = -1
+
+// Summarize adds the distinct and shared line counts to Counts. It is
+// O(refs) and allocates a map over touched lines; intended for tools and
+// tests, not the simulation loop.
+func (t *Trace) Summarize() Stats {
+	s := Stats{Counts: t.Counts()}
+	// Each line maps to the processor that touched it first, or to
+	// sharedLine once another one has: exact at any processor count.
+	touched := make(map[addrspace.Line]int)
+	for p := range t.Streams {
+		st := &t.Streams[p]
+		for i := 0; i < st.Len(); i++ {
+			r := st.At(i)
+			if r.Kind != Read && r.Kind != Write {
+				continue
+			}
+			l := addrspace.LineOf(r.Addr)
+			first, seen := touched[l]
+			switch {
+			case !seen:
+				touched[l] = p
+			case first != p && first != sharedLine:
+				touched[l] = sharedLine
+				s.SharedLines++
 			}
 		}
 	}
 	s.DistinctLines = len(touched)
-	for _, mask := range touched {
-		if mask&(mask-1) != 0 {
-			s.SharedLines++
-		}
-	}
 	return s
 }
