@@ -11,19 +11,36 @@ package repro_test
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/machine"
+	"repro/internal/numa"
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // runner memoizes traces and simulation results across all benchmarks in
 // this binary (safe for the concurrent matrices the drivers fan out).
+// Its RunTrace is the un-memoized build-run-release of one configuration.
 var runner = experiments.NewRunner()
+
+// workload generates a registry application's or a micro-pattern
+// workload's trace, resolving names as cmd/comasim's -app does.
+func workload(tb testing.TB, name string, procs int) *trace.Trace {
+	tb.Helper()
+	if slices.Contains(apps.MicroNames(), name) {
+		return apps.Micro(name, procs, 64, 8)
+	}
+	a, err := apps.ByName(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return a.Generate(procs)
+}
 
 // BenchmarkSimFigure2Matrix is the tracked whole-simulation benchmark:
 // the full Figure 2 run matrix (14 apps x ppn {1,2,4} at 6% MP, 16
@@ -35,12 +52,8 @@ func BenchmarkSimFigure2Matrix(b *testing.B) {
 	// References processed per matrix iteration: each app simulates once
 	// per clustering degree.
 	var perIter int64
-	for _, name := range core.Workloads() {
-		tr, err := core.Workload(name, 16)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s := tr.Summarize()
+	for _, name := range apps.Names() {
+		s := workload(b, name, 16).Summarize()
 		perIter += 3 * (s.Reads + s.Writes)
 	}
 	b.ReportAllocs()
@@ -67,12 +80,8 @@ func BenchmarkSimFigure2Matrix(b *testing.B) {
 // exact or the sampled path is caught.
 func BenchmarkSimFigure2Sampled(b *testing.B) {
 	var perIter int64
-	for _, name := range core.Workloads() {
-		tr, err := core.Workload(name, 16)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s := tr.Summarize()
+	for _, name := range apps.Names() {
+		s := workload(b, name, 16).Summarize()
 		perIter += 3 * (s.Reads + s.Writes)
 	}
 	b.ReportAllocs()
@@ -98,13 +107,10 @@ func BenchmarkSimFigure2Sampled(b *testing.B) {
 // two-level directory maintenance included. CI's bench job gates its
 // ns/ref alongside BenchmarkSimFigure2Matrix.
 func BenchmarkSimRing64(b *testing.B) {
-	tr, err := core.Workload("fft", 64)
-	if err != nil {
-		b.Fatal(err)
-	}
+	tr := workload(b, "fft", 64)
 	s := tr.Summarize()
 	perIter := s.Reads + s.Writes
-	cfg := core.Baseline(2, core.MP50)
+	cfg := config.Baseline(2, config.MP50)
 	cfg.Procs = 64
 	cfg.ScalePressure = true
 	cfg.Topology = "ring"
@@ -112,7 +118,7 @@ func BenchmarkSimRing64(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(tr, cfg); err != nil {
+		if _, err := runner.RunTrace(tr, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -448,7 +454,7 @@ func BenchmarkAblationReplacement(b *testing.B) {
 func BenchmarkAblationWriteBuffer(b *testing.B) {
 	depths := []int{1, 2, 10, 32}
 	execs := make([]float64, len(depths))
-	var tr *core.Trace
+	var tr *trace.Trace
 	for i := 0; i < b.N; i++ {
 		var err error
 		tr, err = runner.Trace("radix")
@@ -481,18 +487,15 @@ func BenchmarkAblationUpdate(b *testing.B) {
 	apps := []string{"micro-producer", "ocean-c", "radix"}
 	for i := 0; i < b.N; i++ {
 		for _, app := range apps {
-			tr, err := core.Workload(app, 16)
-			if err != nil {
-				b.Fatal(err)
-			}
-			inval := core.Baseline(1, core.MP50)
-			rInval, err := core.Run(tr, inval)
+			tr := workload(b, app, 16)
+			inval := config.Baseline(1, config.MP50)
+			rInval, err := runner.RunTrace(tr, inval)
 			if err != nil {
 				b.Fatal(err)
 			}
 			upd := inval
 			upd.Policy.WriteUpdate = true
-			rUpd, err := core.Run(tr, upd)
+			rUpd, err := runner.RunTrace(tr, upd)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -520,11 +523,11 @@ func BenchmarkAblationScale(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				r1, err := core.Run(tr, core.Baseline(1, core.MP6))
+				r1, err := runner.RunTrace(tr, config.Baseline(1, config.MP6))
 				if err != nil {
 					b.Fatal(err)
 				}
-				r4, err := core.Run(tr, core.Baseline(4, core.MP6))
+				r4, err := runner.RunTrace(tr, config.Baseline(4, config.MP6))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -578,19 +581,16 @@ func BenchmarkAblationMachineSize(b *testing.B) {
 		rel16, rel32 = 0, 0
 		for _, name := range names {
 			for _, procs := range []int{16, 32} {
-				tr, err := core.Workload(name, procs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cfg1 := core.Baseline(1, core.MP6)
+				tr := workload(b, name, procs)
+				cfg1 := config.Baseline(1, config.MP6)
 				cfg1.Procs = procs
-				cfg4 := core.Baseline(4, core.MP6)
+				cfg4 := config.Baseline(4, config.MP6)
 				cfg4.Procs = procs
-				r1, err := core.Run(tr, cfg1)
+				r1, err := runner.RunTrace(tr, cfg1)
 				if err != nil {
 					b.Fatal(err)
 				}
-				r4, err := core.Run(tr, cfg4)
+				r4, err := runner.RunTrace(tr, cfg4)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -649,10 +649,7 @@ func BenchmarkAblationLocks(b *testing.B) {
 // benchObservability runs a small full-machine simulation with the given
 // event sink attached (nil = instrumentation disabled, the default).
 func benchObservability(b *testing.B, sink func() obs.Sink) {
-	tr, err := core.Workload("micro-producer", 8)
-	if err != nil {
-		b.Fatal(err)
-	}
+	tr := workload(b, "micro-producer", 8)
 	cfg := config.Baseline(1, config.MP50)
 	cfg.Procs = 8
 	params := cfg.Params(tr.WorkingSet)
@@ -715,13 +712,17 @@ func BenchmarkAblationNUMA(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cfg := core.Baseline(1, core.MP50)
-			res, err := core.Run(tr, cfg)
+			cfg := config.Baseline(1, config.MP50)
+			res, err := runner.RunTrace(tr, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
 			comaNs += float64(res.ExecTime)
-			nres, err := core.RunNUMA(tr, cfg)
+			m, err := numa.NewMachine(cfg.Params(tr.WorkingSet))
+			if err != nil {
+				b.Fatal(err)
+			}
+			nres, err := m.Run(tr)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -6,10 +6,15 @@ package main
 import (
 	"flag"
 	"fmt"
+	"slices"
 
+	"repro/internal/apps"
 	"repro/internal/config"
 	"repro/internal/config/flags"
-	"repro/internal/core"
+	"repro/internal/experiments"
+	"repro/internal/machine"
+	"repro/internal/numa"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -23,16 +28,16 @@ func main() {
 	ncBW := flag.Float64("nc-bw", 1, "node-controller bandwidth multiplier")
 	busBW := flag.Float64("bus-bw", 1, "bus bandwidth multiplier")
 	inclusive := flag.Bool("inclusive", true, "inclusive cache hierarchy")
-	numa := flag.Bool("numa", false, "run the CC-NUMA baseline machine instead of COMA")
+	baseline := flag.Bool("numa", false, "run the CC-NUMA baseline machine instead of COMA")
 	update := flag.Bool("write-update", false, "write-update protocol instead of invalidation")
 	fidelity := flags.Fidelity()
 	flag.Parse()
 
 	if *list {
-		for _, n := range core.Workloads() {
+		for _, n := range apps.Names() {
 			fmt.Println(n)
 		}
-		for _, n := range core.MicroWorkloads() {
+		for _, n := range apps.MicroNames() {
 			fmt.Println(n)
 		}
 		return
@@ -41,11 +46,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	tr, err := core.Workload(*app, 16)
+	tr, err := workload(*app)
 	if err != nil {
 		fatal(err)
 	}
-	cfg := core.Baseline(*ppn, pressure)
+	cfg := config.Baseline(*ppn, pressure)
 	cfg.AMWays = *ways
 	cfg.DRAMBandwidth = *dramBW
 	cfg.NCBandwidth = *ncBW
@@ -53,20 +58,24 @@ func main() {
 	cfg.Inclusive = *inclusive
 	cfg.Policy.WriteUpdate = *update
 	cfg.Fidelity = fidelity()
-	run := core.Run
-	if *numa {
+	var res *machine.Result
+	if *baseline {
 		if cfg.Fidelity.Sampled() {
 			fatal(fmt.Errorf("sampled fidelity is not implemented for the CC-NUMA baseline machine"))
 		}
-		run = core.RunNUMA
+		var m *machine.Machine
+		if m, err = numa.NewMachine(cfg.Params(tr.WorkingSet)); err == nil {
+			res, err = m.Run(tr)
+		}
+	} else {
+		res, err = experiments.NewRunner().RunTrace(tr, cfg)
 	}
-	res, err := run(tr, cfg)
 	if err != nil {
 		fatal(err)
 	}
 
 	system := "COMA"
-	if *numa {
+	if *baseline {
 		system = "CC-NUMA baseline"
 	} else if *update {
 		system = "COMA (write-update)"
@@ -95,6 +104,19 @@ func main() {
 			rep.WarmupNs, rep.WindowNs, rep.PeriodNs, rep.Windows,
 			100*rep.Coverage, rep.Lambda, 100*rep.Confidence.ExecTime)
 	}
+}
+
+// workload generates the named trace for the paper's 16 processors: a
+// registry application or a micro-pattern workload.
+func workload(name string) (*trace.Trace, error) {
+	if slices.Contains(apps.MicroNames(), name) {
+		return apps.Micro(name, 16, 64, 8), nil
+	}
+	app, err := apps.ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	return app.Generate(16), nil
 }
 
 func fatal(err error) {

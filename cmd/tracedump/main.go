@@ -1,16 +1,17 @@
 // Command tracedump generates workload traces and prints their summary
 // statistics: footprint, reference counts, sharing degree and generation
 // time. Useful for inspecting and tuning the workload kernels, and as
-// the client path for comasrv trace ingestion: -upload posts each
-// generated trace in the compact wire format (TRACES.md) and prints the
-// digest to simulate it by reference.
+// the client path for comasrv trace ingestion. Traces are saved, loaded
+// and uploaded in the compact wire format (TRACES.md): -save writes each
+// generated trace, -load summarizes a saved one, and -upload posts each
+// generated trace and prints the digest to simulate it by reference.
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -22,95 +23,84 @@ import (
 )
 
 func main() {
-	flags.SetUsage("tracedump", "generate workload traces and print their summary statistics")
-	only := flag.String("app", "", "generate only this application (default: all, extras included)")
-	procs := flags.Procs(16)
-	saveDir := flag.String("save", "", "serialize generated traces into this directory")
-	compact := flag.Bool("compact", false, "serialize with -save in the compact COMATRC2 wire format instead of the boxed format")
-	load := flag.String("load", "", "summarize a serialized trace file instead of generating (both formats auto-detected)")
-	upload := flag.String("upload", "", "POST each generated trace to this comasrv base URL (e.g. http://127.0.0.1:8080) and print its digest")
-	flag.Parse()
+	flags.Check("tracedump", run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args and executes one tracedump invocation, writing the
+// summary table to stdout and usage to stderr. A malformed flag exits
+// like any command's (status 2); every other failure is returned.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("tracedump", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: tracedump [flags]\ngenerate workload traces and print their summary statistics\n\nflags:\n")
+		fs.PrintDefaults()
+	}
+	only := fs.String("app", "", "generate only this application (default: all, extras included)")
+	procs := fs.Int("procs", 16, "total processor count")
+	saveDir := fs.String("save", "", "write each generated trace into this directory in the compact COMATRC2 wire format")
+	load := fs.String("load", "", "summarize a COMATRC2 trace file instead of generating")
+	upload := fs.String("upload", "", "POST each generated trace to this comasrv base URL (e.g. http://127.0.0.1:8080) and print its digest")
+	fs.Parse(args)
 
 	if *load != "" {
-		tr, err := loadTrace(*load)
+		raw, err := os.ReadFile(*load)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		summarize(tr, 0)
-		return
+		tr, err := trace.DecodeCompact(raw)
+		if err != nil {
+			return fmt.Errorf("%s: %w", *load, err)
+		}
+		summarize(stdout, tr, 0)
+		return nil
 	}
 
+	selected := apps.All()
+	if *only != "" {
+		app, err := apps.ByName(*only)
+		if err != nil {
+			return err
+		}
+		selected = []apps.App{app}
+	}
 	var client *server.Client
 	if *upload != "" {
 		client = server.NewClient(*upload)
 	}
 
-	fmt.Printf("%-11s %8s %9s %9s %9s %9s %9s %9s %8s\n",
+	fmt.Fprintf(stdout, "%-11s %8s %9s %9s %9s %9s %9s %9s %8s\n",
 		"app", "ws(KB)", "reads", "writes", "acquires", "barriers", "lines", "shared", "gen(s)")
-	for _, app := range apps.All() {
-		if *only != "" && app.Name != *only {
-			continue
-		}
+	for _, app := range selected {
 		start := time.Now()
 		tr := app.Generate(*procs)
 		el := time.Since(start)
 		if err := tr.Validate(); err != nil {
-			fatal(fmt.Errorf("%s: %w", app.Name, err))
+			return fmt.Errorf("%s: %w", app.Name, err)
 		}
-		summarize(tr, el.Seconds())
+		summarize(stdout, tr, el.Seconds())
 		if *saveDir != "" {
-			if err := saveTrace(tr, *saveDir, *compact); err != nil {
-				fatal(err)
+			if err := os.MkdirAll(*saveDir, 0o755); err != nil {
+				return err
+			}
+			if err := os.WriteFile(filepath.Join(*saveDir, tr.Name+".trace"), tr.EncodeCompact(), 0o644); err != nil {
+				return err
 			}
 		}
 		if client != nil {
 			meta, err := client.UploadTrace(context.Background(), tr.EncodeCompact())
 			if err != nil {
-				fatal(fmt.Errorf("%s: upload: %w", app.Name, err))
+				return fmt.Errorf("%s: upload: %w", app.Name, err)
 			}
-			fmt.Printf("  uploaded %s -> trace_ref %s (%d bytes)\n", app.Name, meta.Digest, meta.SizeBytes)
+			fmt.Fprintf(stdout, "  uploaded %s -> trace_ref %s (%d bytes)\n", app.Name, meta.Digest, meta.SizeBytes)
 		}
 	}
+	return nil
 }
 
-// loadTrace reads either serialization format, sniffed by magic prefix.
-func loadTrace(path string) (*trace.Trace, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if bytes.HasPrefix(raw, []byte(trace.CompactMagic)) {
-		return trace.DecodeCompact(raw)
-	}
-	return trace.ReadTrace(bytes.NewReader(raw))
-}
-
-func summarize(tr *trace.Trace, genSeconds float64) {
+func summarize(w io.Writer, tr *trace.Trace, genSeconds float64) {
 	s := tr.Summarize()
-	fmt.Printf("%-11s %8d %9d %9d %9d %9d %9d %9d %8.2f\n",
+	fmt.Fprintf(w, "%-11s %8d %9d %9d %9d %9d %9d %9d %8.2f\n",
 		tr.Name, tr.WorkingSet/1024, s.Reads, s.Writes, s.Acquires, s.Barriers,
 		s.DistinctLines, s.SharedLines, genSeconds)
-}
-
-func saveTrace(tr *trace.Trace, dir string, compact bool) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(dir, tr.Name+".trace")
-	if compact {
-		return os.WriteFile(path, tr.EncodeCompact(), 0o644)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := tr.WriteTo(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func fatal(err error) {
-	flags.Check("tracedump", err)
 }

@@ -4,8 +4,11 @@
 // bus-based COMA machines with 1, 2 or 4 processors per node sharing an
 // attraction memory, driven by fourteen SPLASH-2-style workload kernels.
 //
-// The public entry point is repro/internal/core; the benchmarks in
-// bench_test.go regenerate every table and figure of the paper's
-// evaluation (see DESIGN.md for the experiment index and EXPERIMENTS.md
-// for paper-vs-measured results).
+// The entry point is experiments.Runner (repro/internal/experiments): it
+// generates workload traces, builds and runs the machine for each
+// configuration, and regenerates every table and figure of the paper's
+// evaluation. The benchmarks in bench_test.go drive it per artifact, and
+// claims_test.go checks the paper's qualitative claims end to end (see
+// DESIGN.md for the experiment index and EXPERIMENTS.md for
+// paper-vs-measured results).
 package repro

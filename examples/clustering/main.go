@@ -9,23 +9,28 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/config"
+	"repro/internal/experiments"
 )
 
 func main() {
 	app := flag.String("app", "barnes", "workload to sweep")
 	flag.Parse()
 
-	tr := core.MustWorkload(*app, 16)
+	r := experiments.NewRunner()
+	tr, err := r.Trace(*app)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("%s (WS %d KB), 16 processors, 81%% memory pressure, 2x DRAM bandwidth\n\n",
 		*app, tr.WorkingSet/1024)
 	fmt.Printf("%-12s %-8s %-12s %-10s %-10s\n", "procs/node", "nodes", "exec(ns)", "RNMr", "bus(ns)")
 
 	var base float64
 	for _, ppn := range []int{1, 2, 4} {
-		cfg := core.Baseline(ppn, core.MP81)
+		cfg := config.Baseline(ppn, config.MP81)
 		cfg.DRAMBandwidth = 2
-		res, err := core.Run(tr, cfg)
+		res, err := r.Run(*app, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,5 +1,6 @@
 // Custom workload: build your own reference trace with the apps generator
-// API — shared arrays, locks, barriers — and run it through the machine.
+// API — shared arrays, locks, barriers — and run it through the machine
+// with Runner.RunTrace.
 // This example implements a tiny producer/consumer pipeline where each
 // processor writes a block that its right-hand neighbour then reads, a
 // pattern that benefits maximally from clustering (writer and reader often
@@ -11,10 +12,12 @@ import (
 	"log"
 
 	"repro/internal/apps"
-	"repro/internal/core"
+	"repro/internal/config"
+	"repro/internal/experiments"
+	"repro/internal/trace"
 )
 
-func buildPipeline(procs int) *core.Trace {
+func buildPipeline(procs int) *trace.Trace {
 	g := apps.NewGen("pipeline", procs)
 	const blockWords = 512
 	buf := g.F64("ring-buffer", procs*blockWords)
@@ -54,8 +57,9 @@ func buildPipeline(procs int) *core.Trace {
 func main() {
 	tr := buildPipeline(16)
 	fmt.Printf("custom pipeline workload: WS %d KB\n\n", tr.WorkingSet/1024)
+	r := experiments.NewRunner()
 	for _, ppn := range []int{1, 2, 4} {
-		res, err := core.Run(tr, core.Baseline(ppn, core.MP50))
+		res, err := r.RunTrace(tr, config.Baseline(ppn, config.MP50))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,22 +9,34 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/config"
+	"repro/internal/experiments"
+	"repro/internal/numa"
 )
 
 func main() {
 	fmt.Println("COMA vs CC-NUMA baseline (identical caches, bus and timing)")
 	fmt.Println()
 	fmt.Printf("%-10s %-6s %-14s %-14s %-10s\n", "workload", "cfg", "COMA exec(ns)", "NUMA exec(ns)", "COMA/NUMA")
+	r := experiments.NewRunner()
 	for _, name := range []string{"raytrace", "water-n2", "ocean-c", "radix"} {
-		tr := core.MustWorkload(name, 16)
+		tr, err := r.Trace(name)
+		if err != nil {
+			log.Fatal(err)
+		}
 		for _, ppn := range []int{1, 4} {
-			cfg := core.Baseline(ppn, core.MP50)
-			comaRes, err := core.Run(tr, cfg)
+			cfg := config.Baseline(ppn, config.MP50)
+			comaRes, err := r.Run(name, cfg)
 			if err != nil {
 				log.Fatal(err)
 			}
-			numaRes, err := core.RunNUMA(tr, cfg)
+			// The baseline machine takes the same parameters; only its
+			// node-level memory system differs.
+			m, err := numa.NewMachine(cfg.Params(tr.WorkingSet))
+			if err != nil {
+				log.Fatal(err)
+			}
+			numaRes, err := m.Run(tr)
 			if err != nil {
 				log.Fatal(err)
 			}

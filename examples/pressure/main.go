@@ -8,20 +8,25 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/config"
+	"repro/internal/experiments"
 )
 
 func main() {
 	app := flag.String("app", "fft", "workload to sweep")
 	flag.Parse()
 
-	tr := core.MustWorkload(*app, 16)
+	r := experiments.NewRunner()
+	tr, err := r.Trace(*app)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("%s (WS %d KB): bus traffic by class across memory pressure\n\n", *app, tr.WorkingSet/1024)
 	fmt.Printf("%-6s %-4s %-12s %-12s %-12s %-12s\n", "cfg", "MP", "read(ns)", "write(ns)", "replace(ns)", "exec(ns)")
 
 	for _, ppn := range []int{1, 4} {
-		for _, mp := range core.Pressures {
-			res, err := core.Run(tr, core.Baseline(ppn, mp))
+		for _, mp := range config.Pressures {
+			res, err := r.Run(*app, config.Baseline(ppn, mp))
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -7,20 +7,26 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/config"
+	"repro/internal/experiments"
 )
 
 func main() {
-	// Generate the workload's reference trace for 16 processors.
-	tr := core.MustWorkload("ocean-c", 16)
+	// The runner generates the workload's reference trace for the paper's
+	// 16 processors once, and simulates machine configurations over it.
+	r := experiments.NewRunner()
+	tr, err := r.Trace("ocean-c")
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("workload ocean-c: working set %d KB\n", tr.WorkingSet/1024)
 
 	// A machine with 4 processors per node at 81% memory pressure —
 	// the configuration where the paper shows clustering shines.
-	cfg := core.Baseline(4, core.MP81)
+	cfg := config.Baseline(4, config.MP81)
 	cfg.DRAMBandwidth = 2 // as in the paper's Figure 5
 
-	res, err := core.Run(tr, cfg)
+	res, err := r.Run("ocean-c", cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,6 +3,9 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/config"
+	"repro/internal/machine"
 )
 
 // The Figure 2 claim: clustering reduces the read node miss rate for every
@@ -262,5 +265,30 @@ func TestRunnerMemoization(t *testing.T) {
 	}
 	if a != b {
 		t.Fatal("identical runs must be memoized (same pointer)")
+	}
+}
+
+// A configuration config.Machine.Params cannot size a machine from is an
+// error from Run and RunTrace alike, never a divide-by-zero panic.
+func TestRunRejectsIncompleteConfig(t *testing.T) {
+	r := NewRunner()
+	r.Procs = 8
+	tr, err := r.Trace("fft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		cfg  config.Machine
+		want string
+	}{
+		{config.Machine{ProcsPerNode: 1}, "memory pressure not set"},
+		{config.Machine{Pressure: config.MP6, Topology: machine.TopologyRing}, "ProcsPerNode must be positive"},
+	} {
+		if _, err := r.Run("fft", c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Run(%+v) err = %v, want %q", c.cfg, err, c.want)
+		}
+		if _, err := r.RunTrace(tr, c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("RunTrace(%+v) err = %v, want %q", c.cfg, err, c.want)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -213,6 +214,34 @@ func (r *Runner) RunTrace(tr *trace.Trace, cfg config.Machine) (res *machine.Res
 			res, err = nil, fmt.Errorf("%s: simulation panic: %v", label, p)
 		}
 	}()
+	return r.execute(label, tr, cfg)
+}
+
+// simulate executes one run (no caching; Run wraps it in a cell).
+func (r *Runner) simulate(app string, cfg config.Machine) (*machine.Result, error) {
+	tr, err := r.TraceAt(app, cfg.Procs)
+	if err != nil {
+		return nil, err
+	}
+	res, err := r.execute(app, tr, cfg)
+	if err == nil && r.Progress != nil {
+		r.mu.Lock()
+		fmt.Fprintf(r.Progress, "ran %-10s %dp/node mp=%-4s ways=%d dram=%.2g nc=%.2g bus=%.2g -> exec %v\n",
+			app, cfg.ProcsPerNode, cfg.Pressure.Label, cfg.AMWays,
+			cfg.DRAMBandwidth, cfg.NCBandwidth, cfg.BusBandwidth, res.ExecTime)
+		r.mu.Unlock()
+	}
+	return res, err
+}
+
+// execute is the one place a Runner builds and runs a machine: it checks
+// cfg, builds the machine it describes, runs tr on it through the seams
+// (OnSimulate, WrapSimulate, SinkFactory, sampling, Ctx) and releases
+// it. label names the run in seam calls and errors.
+func (r *Runner) execute(label string, tr *trace.Trace, cfg config.Machine) (res *machine.Result, err error) {
+	if err := checkConfig(cfg); err != nil {
+		return nil, fmt.Errorf("%s: %w", label, err)
+	}
 	if r.OnSimulate != nil {
 		r.OnSimulate(label, cfg)
 	}
@@ -234,44 +263,19 @@ func (r *Runner) RunTrace(tr *trace.Trace, cfg config.Machine) (res *machine.Res
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", label, err)
 	}
-	m.Release()
+	m.Release() // Result is value-detached; recycle the tag arrays
 	return res, nil
 }
 
-// simulate executes one run (no caching; Run wraps it in a cell).
-func (r *Runner) simulate(app string, cfg config.Machine) (res *machine.Result, err error) {
-	tr, err := r.TraceAt(app, cfg.Procs)
-	if err != nil {
-		return nil, err
+// checkConfig rejects the configurations config.Machine.Params cannot
+// size a machine from: it divides by the memory pressure's K, and a ring
+// divides by the clustering degree.
+func checkConfig(cfg config.Machine) error {
+	if cfg.ProcsPerNode <= 0 {
+		return fmt.Errorf("ProcsPerNode must be positive, got %d", cfg.ProcsPerNode)
 	}
-	if r.OnSimulate != nil {
-		r.OnSimulate(app, cfg)
+	if cfg.Pressure.K <= 0 {
+		return errors.New("memory pressure not set (use config.MP6..MP87)")
 	}
-	if r.WrapSimulate != nil {
-		finish := r.WrapSimulate(app, cfg)
-		defer func() { finish(err) }()
-	}
-	m, err := machine.New(cfg.Params(tr.WorkingSet))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", app, err)
-	}
-	if r.SinkFactory != nil {
-		m.SetSink(r.SinkFactory(app, cfg))
-	}
-	if r.SampleWindow > 0 {
-		m.EnableSampling(r.SampleWindow)
-	}
-	res, err = m.RunContext(r.ctx(), tr)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", app, err)
-	}
-	m.Release() // Result is value-detached; recycle the tag arrays
-	if r.Progress != nil {
-		r.mu.Lock()
-		fmt.Fprintf(r.Progress, "ran %-10s %dp/node mp=%-4s ways=%d dram=%.2g nc=%.2g bus=%.2g -> exec %v\n",
-			app, cfg.ProcsPerNode, cfg.Pressure.Label, cfg.AMWays,
-			cfg.DRAMBandwidth, cfg.NCBandwidth, cfg.BusBandwidth, res.ExecTime)
-		r.mu.Unlock()
-	}
-	return res, nil
+	return nil
 }

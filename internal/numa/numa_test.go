@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/addrspace"
+	"repro/internal/apps"
 	"repro/internal/coma"
+	"repro/internal/config"
 	"repro/internal/machine"
 	"repro/internal/trace"
 )
@@ -187,5 +189,29 @@ func TestCOMABeatsNUMAOnMigratoryReads(t *testing.T) {
 	if comaRes.ReadNodeMisses >= numaRes.ReadNodeMisses {
 		t.Fatalf("COMA node misses %d should undercut NUMA's %d",
 			comaRes.ReadNodeMisses, numaRes.ReadNodeMisses)
+	}
+}
+
+// Smoke test at the paper's sizing: the baseline machine runs a generated
+// 16-processor workload from the configuration methodology's parameters,
+// and, having no attraction memory, never moves replacement traffic.
+func TestBaselineMachineRunsWorkload(t *testing.T) {
+	tr := apps.Micro("micro-readshared", 16, 64, 8)
+	m, err := NewMachine(config.Baseline(1, config.MP50).Params(tr.WorkingSet))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reads == 0 || res.ExecTime == 0 {
+		t.Fatal("degenerate NUMA result")
+	}
+	if res.BusOccupancy[2] != 0 {
+		t.Fatal("NUMA has no replacement traffic class")
+	}
+	if _, err := NewMachine(machine.Params{}); err == nil {
+		t.Fatal("zero parameters must be rejected")
 	}
 }

@@ -302,17 +302,6 @@ func (c *Client) SlowRequests(ctx context.Context) (SlowReport, error) {
 	return rep, err
 }
 
-// Metrics fetches the service counters.
-func (c *Client) Metrics(ctx context.Context) (Metrics, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/metrics", nil)
-	if err != nil {
-		return Metrics{}, err
-	}
-	var m Metrics
-	err = decode(resp, &m)
-	return m, err
-}
-
 // Healthz checks liveness.
 func (c *Client) Healthz(ctx context.Context) error {
 	resp, err := c.do(ctx, http.MethodGet, "/v1/healthz", nil)

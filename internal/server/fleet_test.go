@@ -132,22 +132,15 @@ func TestFleetPeerFill(t *testing.T) {
 			env1.Key, env0.Key, res1, res0)
 	}
 
-	m1, err := clients[1].Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
+	m1 := scrapeSamples(t, clients[1])
+	if v := m1.get(t, "comasrv_sims_executed_total"); v != 0 {
+		t.Fatalf("non-owner sims_executed = %g, want 0 (peer fill must not simulate)", v)
 	}
-	if m1.SimsExecuted != 0 {
-		t.Fatalf("non-owner sims_executed = %d, want 0 (peer fill must not simulate)", m1.SimsExecuted)
+	if v := m1.get(t, `comasrv_peer_fill_total{outcome="hit"}`); v != 1 {
+		t.Fatalf("non-owner peer fill hits = %g, want 1", v)
 	}
-	if m1.Fleet == nil || m1.Fleet.PeerFillHits != 1 {
-		t.Fatalf("non-owner fleet metrics = %+v, want peer_fill_hits=1", m1.Fleet)
-	}
-	m0, err := clients[0].Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m0.Fleet == nil || m0.Fleet.PeerServed != 1 {
-		t.Fatalf("owner fleet metrics = %+v, want peer_served=1", m0.Fleet)
+	if v := scrapeSamples(t, clients[0]).get(t, `comasrv_peer_served_total{outcome="hit"}`); v != 1 {
+		t.Fatalf("owner peer served = %g, want 1", v)
 	}
 
 	// The filled entry migrated: the non-owner now serves it locally.
@@ -235,15 +228,12 @@ func TestFleetPeerFallbackMatrix(t *testing.T) {
 			if res.ExecTimeNs <= 0 {
 				t.Fatalf("recomputed exec_time_ns = %d, want > 0", res.ExecTimeNs)
 			}
-			m, err := c.Metrics(context.Background())
-			if err != nil {
-				t.Fatal(err)
+			m := scrapeSamples(t, c)
+			if tc.errors && m.get(t, `comasrv_peer_fill_total{outcome="error"}`) == 0 {
+				t.Fatal("want peer fill errors > 0")
 			}
-			if tc.errors && m.Fleet.PeerFillErrors == 0 {
-				t.Fatalf("fleet metrics = %+v, want peer_fill_errors > 0", m.Fleet)
-			}
-			if !tc.errors && m.Fleet.PeerFillMisses == 0 {
-				t.Fatalf("fleet metrics = %+v, want peer_fill_misses > 0", m.Fleet)
+			if !tc.errors && m.get(t, `comasrv_peer_fill_total{outcome="miss"}`) == 0 {
+				t.Fatal("want peer fill misses > 0")
 			}
 		})
 	}
@@ -506,12 +496,8 @@ func TestLoadShed429(t *testing.T) {
 		t.Fatalf("shed error body = %q (%v)", e.Error, err)
 	}
 
-	m, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.LoadShed != 1 {
-		t.Fatalf("load_shed = %d, want 1", m.LoadShed)
+	if v := scrapeSamples(t, c).get(t, "comasrv_load_shed_total"); v != 1 {
+		t.Fatalf("load_shed = %g, want 1", v)
 	}
 
 	// Unwind: cancel the study and the queued request.
@@ -588,14 +574,11 @@ func TestJobTTLEviction(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	m, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
+	m := scrapeSamples(t, c)
+	if v := m.get(t, "comasrv_jobs_evicted_total"); v < 1 {
+		t.Fatalf("jobs_evicted = %g, want >= 1", v)
 	}
-	if m.JobsEvicted < 1 {
-		t.Fatalf("jobs_evicted = %d, want >= 1", m.JobsEvicted)
-	}
-	if m.JobsRetained != 0 {
-		t.Fatalf("jobs_retained = %d, want 0", m.JobsRetained)
+	if v := m.get(t, "comasrv_jobs_retained"); v != 0 {
+		t.Fatalf("jobs_retained = %g, want 0", v)
 	}
 }

@@ -165,12 +165,10 @@ func TestSimulateByTraceRef(t *testing.T) {
 		t.Fatalf("repeat trace_ref request not served from the store (cached=%v)", env2.Cached)
 	}
 
-	m, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.TracesUploaded != 1 || m.TraceSims != 1 || m.TracesRetained != 1 {
-		t.Fatalf("trace counters: uploaded=%d sims=%d retained=%d", m.TracesUploaded, m.TraceSims, m.TracesRetained)
+	m := scrapeSamples(t, c)
+	uploaded, sims, retained := m.get(t, "comasrv_traces_uploaded_total"), m.get(t, "comasrv_trace_sims_total"), m.get(t, "comasrv_traces_retained")
+	if uploaded != 1 || sims != 1 || retained != 1 {
+		t.Fatalf("trace counters: uploaded=%g sims=%g retained=%g", uploaded, sims, retained)
 	}
 	_ = srv
 }

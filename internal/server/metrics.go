@@ -5,81 +5,10 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs"
-	"repro/internal/server/store"
 )
 
-// Metrics is the GET /v1/metrics payload: service counters, the result
-// store's hit/miss counters, and the aggregated observability view of
-// every simulation the daemon has executed (event counts from
-// internal/obs and the engine's bus/DRAM occupancy totals).
-type Metrics struct {
-	// Service counters.
-	Requests         int64 `json:"requests"`
-	BadRequests      int64 `json:"bad_requests"`
-	SimsExecuted     int64 `json:"sims_executed"`
-	FlightsExecuted  int64 `json:"flights_executed"`
-	FlightsCollapsed int64 `json:"flights_collapsed"`
-	CacheHits        int64 `json:"cache_hits"`
-	CacheBypassed    int64 `json:"cache_bypassed"`
-	JobsCreated      int64 `json:"jobs_created"`
-	JobsCancelled    int64 `json:"jobs_cancelled"`
-	JobsEvicted      int64 `json:"jobs_evicted"`
-	JobsRetained     int   `json:"jobs_retained"`
-	ActiveFlights    int64 `json:"active_flights"`
-	SimSlots         int64 `json:"sim_slots"`
-	SimulatedExecNs  int64 `json:"simulated_exec_ns"`
-	SimulatedRuns    int64 `json:"simulated_runs"`
-	// LoadShed counts computations rejected with 429 by admission
-	// control (Config.MaxQueue).
-	LoadShed int64 `json:"load_shed"`
-
-	// Uploaded-trace counters (POST /v1/traces and simulate-by-ref).
-	TracesUploaded int64 `json:"traces_uploaded"`
-	TracesDeleted  int64 `json:"traces_deleted"`
-	TracesRetained int   `json:"traces_retained"`
-	TraceSims      int64 `json:"trace_sims"`
-
-	// Store is the result store's counters.
-	Store store.Stats `json:"store"`
-
-	// Fleet is present only in fleet mode: the peer-fill and
-	// replication counters for this shard.
-	Fleet *FleetMetrics `json:"fleet,omitempty"`
-
-	// Obs aggregates instrumentation events across all executed
-	// simulations (see internal/obs for the taxonomy).
-	Obs ObsMetrics `json:"obs"`
-}
-
-// ObsMetrics is the JSON shape of the aggregated observability counters.
-type ObsMetrics struct {
-	EventsTotal int64            `json:"events_total"`
-	Events      map[string]int64 `json:"events"`
-	Transitions int64            `json:"am_transitions"`
-	BusOccNs    [3]int64         `json:"bus_occ_ns"` // read, write, replace
-	WBStallNs   int64            `json:"wb_stall_ns"`
-}
-
-// FleetMetrics is the fleet-mode slice of /v1/metrics: how this shard's
-// misses were resolved against its peers and what it pushed to them.
-type FleetMetrics struct {
-	ShardID string `json:"shard_id"`
-	Members int    `json:"members"`
-	// Peer fill (this shard asking owners).
-	PeerFillHits   int64 `json:"peer_fill_hits"`
-	PeerFillMisses int64 `json:"peer_fill_misses"`
-	PeerFillErrors int64 `json:"peer_fill_errors"`
-	// Peer serving (owners asking this shard).
-	PeerServed       int64 `json:"peer_served"`
-	PeerServedMisses int64 `json:"peer_served_misses"`
-	// Hot-entry replication.
-	ReplicationPushed   int64 `json:"replication_pushed"`
-	ReplicationReceived int64 `json:"replication_received"`
-	ReplicationErrors   int64 `json:"replication_errors"`
-	ReachablePeers      int   `json:"reachable_peers"`
-}
-
-// counters is the server's internal mutable state behind Metrics.
+// counters is the server's internal mutable state behind the /metrics
+// exposition (see renderProm).
 type counters struct {
 	requests         atomic.Int64
 	badRequests      atomic.Int64
@@ -125,22 +54,9 @@ func (l *lockedCounting) Emit(e obs.Event) {
 	l.mu.Unlock()
 }
 
-// snapshot copies the aggregate counters into the JSON shape.
-func (l *lockedCounting) snapshot() ObsMetrics {
+// snapshot returns a copy of the aggregate counters.
+func (l *lockedCounting) snapshot() obs.Counting {
 	l.mu.Lock()
-	c := l.c
-	l.mu.Unlock()
-	m := ObsMetrics{
-		EventsTotal: c.Total(),
-		Events:      make(map[string]int64, obs.NumKinds),
-		Transitions: c.TransitionTotal(),
-		WBStallNs:   c.WBStallNs,
-	}
-	for k := 0; k < obs.NumKinds; k++ {
-		m.Events[obs.Kind(k).String()] = c.Kinds[k]
-	}
-	for i, v := range c.BusOccNs {
-		m.BusOccNs[i] = v
-	}
-	return m
+	defer l.mu.Unlock()
+	return l.c
 }

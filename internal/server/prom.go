@@ -16,8 +16,9 @@ import (
 // Prometheus text exposition (format 0.0.4), hand-rolled: the repo is
 // stdlib-only, and the daemon needs exactly counters, gauges and two
 // fixed-bucket histograms — a page of code, not a dependency. GET
-// /metrics serves the same underlying state as the JSON /v1/metrics,
-// plus the latency/queue-wait histograms only this endpoint carries.
+// /metrics is the daemon's one metrics surface: the metrics history, the
+// SSE stream and the fleet-wide /v1/fleet/metrics merge all derive from
+// this rendering.
 
 // durationBuckets are the shared latency bucket bounds in seconds:
 // cached hits land in the millisecond buckets, simulations in the
@@ -192,15 +193,14 @@ func (s *Server) renderProm() []byte {
 	// Aggregated simulator observability (all executed simulations).
 	o := s.obsSink.snapshot()
 	p.header("comasrv_obs_events_total", "Simulator instrumentation events by kind.", "counter")
-	for k := 0; k < obs.NumKinds; k++ {
-		name := obs.Kind(k).String()
-		p.labeled("comasrv_obs_events_total", "kind", name, o.Events[name])
+	for k, v := range o.Kinds {
+		p.labeled("comasrv_obs_events_total", "kind", obs.Kind(k).String(), v)
 	}
 	p.header("comasrv_obs_bus_occupancy_ns_total", "Simulated bus occupancy by transaction class.", "counter")
 	for i, v := range o.BusOccNs {
 		p.labeled("comasrv_obs_bus_occupancy_ns_total", "class", busClassNames[i], v)
 	}
-	p.counter("comasrv_obs_am_transitions_total", "Attraction-memory state transitions observed.", o.Transitions)
+	p.counter("comasrv_obs_am_transitions_total", "Attraction-memory state transitions observed.", o.TransitionTotal())
 	p.counter("comasrv_obs_wb_stall_ns_total", "Simulated write-buffer stall nanoseconds observed.", o.WBStallNs)
 
 	// Identity.

@@ -4,10 +4,55 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strconv"
+	"net/http"
 	"strings"
 	"testing"
+
+	"repro/internal/obs/tsdb"
 )
+
+// promSamples is one /metrics page: every sample's value keyed by its
+// series as exposed, `name` or `name{label="v",...}`.
+type promSamples map[string]float64
+
+// parseSamples reads the samples of a text exposition.
+func parseSamples(t *testing.T, body string) promSamples {
+	t.Helper()
+	sc, err := tsdb.ParseExposition(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := make(promSamples, len(sc.Samples))
+	for _, smp := range sc.Samples {
+		s[smp.Key()] = smp.Value
+	}
+	return s
+}
+
+// scrapeSamples fetches and parses c's GET /metrics.
+func scrapeSamples(t *testing.T, c *Client) promSamples {
+	t.Helper()
+	resp, err := c.httpClient().Get(c.Base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return parseSamples(t, string(b))
+}
+
+// get returns one series' value; a series the page lacks fails the test.
+func (s promSamples) get(t *testing.T, series string) float64 {
+	t.Helper()
+	v, ok := s[series]
+	if !ok {
+		t.Fatalf("metric %s not found", series)
+	}
+	return v
+}
 
 func TestHistogram(t *testing.T) {
 	h := newHistogram(1, 10, 100)
@@ -49,28 +94,15 @@ func TestPromMetrics(t *testing.T) {
 	}
 	body := string(b)
 
-	find := func(name string) int64 {
-		t.Helper()
-		for _, line := range strings.Split(body, "\n") {
-			if rest, ok := strings.CutPrefix(line, name+" "); ok {
-				v, err := strconv.ParseInt(rest, 10, 64)
-				if err != nil {
-					t.Fatalf("%s: bad value %q", name, rest)
-				}
-				return v
-			}
-		}
-		t.Fatalf("metric %s not found", name)
-		return 0
+	m := parseSamples(t, body)
+	if v := m.get(t, "comasrv_sims_executed_total"); v != 1 {
+		t.Errorf("sims_executed = %g, want 1", v)
 	}
-	if v := find("comasrv_sims_executed_total"); v != 1 {
-		t.Errorf("sims_executed = %d, want 1", v)
+	if v := m.get(t, "comasrv_requests_total"); v < 1 {
+		t.Errorf("requests = %g, want >= 1", v)
 	}
-	if v := find("comasrv_requests_total"); v < 1 {
-		t.Errorf("requests = %d, want >= 1", v)
-	}
-	if v := find("comasrv_request_duration_seconds_count"); v < 1 {
-		t.Errorf("request_duration count = %d, want >= 1", v)
+	if v := m.get(t, "comasrv_request_duration_seconds_count"); v < 1 {
+		t.Errorf("request_duration count = %g, want >= 1", v)
 	}
 	// Labeled samples from the aggregated obs counters are present.
 	for _, want := range []string{
@@ -89,6 +121,15 @@ func TestPromMetrics(t *testing.T) {
 	// buckets are monotonically non-decreasing (shared linter).
 	if err := LintExposition(body); err != nil {
 		t.Errorf("exposition lint: %v", err)
+	}
+	// /metrics is the one metrics surface: the JSON view is gone.
+	old, err := c.httpClient().Get(c.Base + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old.Body.Close()
+	if old.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/metrics: HTTP %d, want 404", old.StatusCode)
 	}
 }
 

@@ -214,8 +214,6 @@ func New(cfg Config) (*Server, error) {
 		switch r {
 		case "GET /v1/healthz":
 			s.mux.HandleFunc(r, s.handleHealthz)
-		case "GET /v1/metrics":
-			s.mux.HandleFunc(r, s.handleMetrics)
 		case "GET /v1/workloads":
 			s.mux.HandleFunc(r, s.handleWorkloads)
 		case "POST /v1/simulate":
@@ -264,7 +262,6 @@ func New(cfg Config) (*Server, error) {
 func Routes() []string {
 	return []string{
 		"GET /v1/healthz",
-		"GET /v1/metrics",
 		"GET /v1/workloads",
 		"POST /v1/simulate",
 		"POST /v1/studies/{study}",
@@ -681,55 +678,6 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 		"workloads": apps.Names(),
 		"extras":    apps.ExtraNames(),
 	})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	c := &s.counters
-	m := Metrics{
-		Requests:         c.requests.Load(),
-		BadRequests:      c.badRequests.Load(),
-		SimsExecuted:     c.simsExecuted.Load(),
-		FlightsExecuted:  c.flightsExecuted.Load(),
-		FlightsCollapsed: c.flightsCollapsed.Load(),
-		CacheHits:        c.cacheHits.Load(),
-		CacheBypassed:    c.cacheBypassed.Load(),
-		JobsCreated:      c.jobsCreated.Load(),
-		JobsCancelled:    c.jobsCancelled.Load(),
-		JobsEvicted:      c.jobsEvicted.Load(),
-		JobsRetained:     s.retainedJobs(),
-		ActiveFlights:    c.activeFlights.Load(),
-		SimSlots:         s.pool.Size(),
-		SimulatedExecNs:  c.simulatedExecNs.Load(),
-		SimulatedRuns:    c.simulatedRuns.Load(),
-		LoadShed:         c.loadShed.Load(),
-		TracesUploaded:   c.tracesUploaded.Load(),
-		TracesDeleted:    c.tracesDeleted.Load(),
-		TracesRetained:   s.retainedTraces(),
-		TraceSims:        c.traceSims.Load(),
-		Store:            s.store.Stats(),
-		Obs:              s.obsSink.snapshot(),
-	}
-	if f := s.fleet; f != nil {
-		fm := &FleetMetrics{
-			ShardID:             f.self.ID,
-			Members:             f.ring.Len(),
-			PeerFillHits:        c.peerFillHits.Load(),
-			PeerFillMisses:      c.peerFillMisses.Load(),
-			PeerFillErrors:      c.peerFillErrors.Load(),
-			PeerServed:          c.peerServed.Load(),
-			PeerServedMisses:    c.peerServedMisses.Load(),
-			ReplicationPushed:   c.replicationPushed.Load(),
-			ReplicationReceived: c.replicationReceived.Load(),
-			ReplicationErrors:   c.replicationErrors.Load(),
-		}
-		for _, p := range f.peerView() {
-			if p.Reachable {
-				fm.ReachablePeers++
-			}
-		}
-		m.Fleet = fm
-	}
-	writeJSON(w, http.StatusOK, m)
 }
 
 // SimEnvelope is the POST /v1/simulate response: the content address,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/obs"
 )
 
 // newTestServer starts an httptest server around a fresh daemon with a
@@ -85,18 +87,19 @@ func TestSimulateCacheHit(t *testing.T) {
 		t.Fatalf("cached result differs:\n%+v\n%+v", res1, res2)
 	}
 
-	m, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
+	m := scrapeSamples(t, c)
+	if v := m.get(t, "comasrv_sims_executed_total"); v != 1 {
+		t.Fatalf("sims_executed = %g, want 1 (second request must not simulate)", v)
 	}
-	if m.SimsExecuted != 1 {
-		t.Fatalf("sims_executed = %d, want 1 (second request must not simulate)", m.SimsExecuted)
+	if v := m.get(t, "comasrv_cache_hits_total"); v != 1 {
+		t.Fatalf("cache_hits = %g, want 1", v)
 	}
-	if m.CacheHits != 1 {
-		t.Fatalf("cache_hits = %d, want 1", m.CacheHits)
+	var events float64
+	for k := 0; k < obs.NumKinds; k++ {
+		events += m.get(t, fmt.Sprintf("comasrv_obs_events_total{kind=%q}", obs.Kind(k)))
 	}
-	if m.Obs.EventsTotal == 0 {
-		t.Fatal("obs events not aggregated into /v1/metrics")
+	if events == 0 {
+		t.Fatal("obs events not aggregated into /metrics")
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 
 // Compact wire format ("COMATRC2"): the struct-of-arrays Stream encoding
 // serialized verbatim, so a trace round-trips bytes → Trace → bytes
-// without re-encoding any record. This is the format POST /v1/traces
-// ingests and the one TRACES.md specifies normatively; the boxed
-// "COMATRC1" format (encode.go) remains readable for old saved files.
+// without re-encoding any record. It is the only trace serialization:
+// POST /v1/traces ingests it, cmd/tracedump -save writes it, and
+// TRACES.md specifies it normatively.
 //
 // Layout (little endian throughout):
 //
@@ -36,9 +36,8 @@ import (
 // exceed the inline payload.
 const CompactMagic = "COMATRC2"
 
-// Decoder hardening limits. The name and processor-count bounds match
-// the boxed format; the working-set bound keeps derived machine sizes
-// inside int range on every platform.
+// Decoder hardening limits. The working-set bound keeps derived machine
+// sizes inside int range on every platform.
 const (
 	maxWireName       = 4096
 	maxWireProcs      = 1024
