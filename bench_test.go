@@ -11,7 +11,6 @@ package repro_test
 
 import (
 	"runtime"
-	"slices"
 	"testing"
 
 	"repro/internal/apps"
@@ -29,17 +28,14 @@ import (
 var runner = experiments.NewRunner()
 
 // workload generates a registry application's or a micro-pattern
-// workload's trace, resolving names as cmd/comasim's -app does.
+// workload's trace (apps.Generate).
 func workload(tb testing.TB, name string, procs int) *trace.Trace {
 	tb.Helper()
-	if slices.Contains(apps.MicroNames(), name) {
-		return apps.Micro(name, procs, 64, 8)
-	}
-	a, err := apps.ByName(name)
+	tr, err := apps.Generate(name, procs)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return a.Generate(procs)
+	return tr
 }
 
 // BenchmarkSimFigure2Matrix is the tracked whole-simulation benchmark:

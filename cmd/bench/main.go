@@ -85,7 +85,7 @@ type File struct {
 }
 
 func main() {
-	flags.SetUsage("bench", "run the tracked end-to-end benchmark matrix and merge the entry into BENCH_results.json")
+	flags.SetUsage(flag.CommandLine, "bench", "run the tracked end-to-end benchmark matrix and merge the entry into BENCH_results.json")
 	out := flag.String("out", "BENCH_results.json", "results file to merge the entry into")
 	label := flag.String("label", "current", "entry label (same label replaces in place)")
 	quick := flag.Bool("quick", false, "CI-sized matrix: 8 processors, ppn {1,4}, 1 iteration")

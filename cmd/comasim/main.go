@@ -6,7 +6,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"slices"
 
 	"repro/internal/apps"
 	"repro/internal/config"
@@ -14,11 +13,10 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/machine"
 	"repro/internal/numa"
-	"repro/internal/trace"
 )
 
 func main() {
-	flags.SetUsage("comasim", "run one COMA simulation configuration and print the full measurement record")
+	flags.SetUsage(flag.CommandLine, "comasim", "run one COMA simulation configuration and print the full measurement record")
 	app := flag.String("app", "radix", "workload name (see -list)")
 	list := flag.Bool("list", false, "list workloads and exit")
 	ppn := flag.Int("procs-per-node", 1, "processors per node (1, 2 or 4)")
@@ -30,7 +28,7 @@ func main() {
 	inclusive := flag.Bool("inclusive", true, "inclusive cache hierarchy")
 	baseline := flag.Bool("numa", false, "run the CC-NUMA baseline machine instead of COMA")
 	update := flag.Bool("write-update", false, "write-update protocol instead of invalidation")
-	fidelity := flags.Fidelity()
+	fidelity := flags.Fidelity(flag.CommandLine)
 	flag.Parse()
 
 	if *list {
@@ -46,7 +44,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	tr, err := workload(*app)
+	tr, err := apps.Generate(*app, 16)
 	if err != nil {
 		fatal(err)
 	}
@@ -104,19 +102,6 @@ func main() {
 			rep.WarmupNs, rep.WindowNs, rep.PeriodNs, rep.Windows,
 			100*rep.Coverage, rep.Lambda, 100*rep.Confidence.ExecTime)
 	}
-}
-
-// workload generates the named trace for the paper's 16 processors: a
-// registry application or a micro-pattern workload.
-func workload(name string) (*trace.Trace, error) {
-	if slices.Contains(apps.MicroNames(), name) {
-		return apps.Micro(name, 16, 64, 8), nil
-	}
-	app, err := apps.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	return app.Generate(16), nil
 }
 
 func fatal(err error) {

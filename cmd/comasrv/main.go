@@ -34,9 +34,9 @@ func newLogger(format string) (*slog.Logger, error) {
 }
 
 func main() {
-	flags.SetUsage("comasrv", "serve the simulation engine as a JSON HTTP API")
+	flags.SetUsage(flag.CommandLine, "comasrv", "serve the simulation engine as a JSON HTTP API")
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
-	jobs := flags.Jobs()
+	jobs := flags.Jobs(flag.CommandLine)
 	storeDir := flag.String("store", "comasrv-store", "result store directory (empty = memory-only)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "in-memory result cache budget in bytes (0 = 64 MiB)")
 	timeout := flag.Duration("timeout", 0, "per-request simulation timeout (0 = unbounded)")

@@ -20,7 +20,7 @@ import (
 )
 
 func main() {
-	flags.SetUsage("comatop", "terminal dashboard over a comasrv fleet")
+	flags.SetUsage(flag.CommandLine, "comatop", "terminal dashboard over a comasrv fleet")
 	targets := flag.String("targets", "http://127.0.0.1:8080", "comma-separated comasrv base URLs (any one fleet member is enough in fleet mode)")
 	interval := flag.Duration("interval", 2*time.Second, "refresh period")
 	window := flag.Duration("window", time.Hour, "sparkline history window")

@@ -20,14 +20,14 @@ import (
 )
 
 func main() {
-	flags.SetUsage("experiments", "regenerate the paper's tables and figures (all, or one artifact with -only)")
+	flags.SetUsage(flag.CommandLine, "experiments", "regenerate the paper's tables and figures (all, or one artifact with -only)")
 	only := flag.String("only", "", "run a single artifact (table1, fig2..fig5, sens-*, thresholds, fig2scaled)")
 	chart := flag.Bool("chart", false, "render figures 3-5 as stacked bar charts")
-	procs := flags.Procs(16)
-	fidelity := flags.Fidelity()
-	verbose := flags.Verbose()
-	jobs := flags.Jobs()
-	cpuprofile, memprofile := flags.Profiles()
+	procs := flags.Procs(flag.CommandLine, 16)
+	fidelity := flags.Fidelity(flag.CommandLine)
+	verbose := flags.Verbose(flag.CommandLine)
+	jobs := flags.Jobs(flag.CommandLine)
+	cpuprofile, memprofile := flags.Profiles(flag.CommandLine)
 	flag.Parse()
 
 	stopProf, err := profiling.Start(*cpuprofile, *memprofile)

@@ -28,8 +28,8 @@ import (
 )
 
 func main() {
-	flags.SetUsage("inspect", "dump per-resource utilization, protocol-transition and protocol-counter tables for a run matrix")
-	procs := flags.Procs(16)
+	flags.SetUsage(flag.CommandLine, "inspect", "dump per-resource utilization, protocol-transition and protocol-counter tables for a run matrix")
+	procs := flags.Procs(flag.CommandLine, 16)
 	appsFlag := flag.String("apps", "", "comma-separated applications (default: all)")
 	ppnFlag := flag.String("ppn", "1,4", "comma-separated clustering degrees")
 	mpFlag := flag.String("mp", "50%", "comma-separated memory pressures (6%,50%,75%,81%,87%)")
@@ -45,9 +45,9 @@ func main() {
 	timeline := flag.Bool("timeline", false, "sample windowed counters and dump the per-run timeline (sparklines, or raw windows with -format csv)")
 	window := flag.Int64("window", 100000, "sampling window width in simulated ns (with -timeline)")
 	events := flag.String("events", "", "write a JSONL event trace of the first run to this file")
-	outPath := flags.Output("")
-	jobs := flags.Jobs()
-	verbose := flags.Verbose()
+	outPath := flags.Output(flag.CommandLine, "")
+	jobs := flags.Jobs(flag.CommandLine)
+	verbose := flags.Verbose(flag.CommandLine)
 	flag.Parse()
 
 	appNames := experiments.Apps()

@@ -91,7 +91,7 @@ func merge(path string, e fleetEntry) error {
 }
 
 func main() {
-	flags.SetUsage("loadgen", "drive a comasrv daemon or fleet with a seeded request stream and measure how it is served")
+	flags.SetUsage(flag.CommandLine, "loadgen", "drive a comasrv daemon or fleet with a seeded request stream and measure how it is served")
 	targets := flag.String("targets", "", `comma-separated daemon base URLs (required), e.g. "http://127.0.0.1:8080,http://127.0.0.1:8081"`)
 	dist := flag.String("dist", "zipfian", "key popularity: zipfian, uniform or hotset")
 	theta := flag.Float64("theta", 0.99, "zipfian exponent, in (0,1)")

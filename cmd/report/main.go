@@ -16,11 +16,11 @@ import (
 )
 
 func main() {
-	flags.SetUsage("report", "regenerate the paper's evaluation as a single self-contained HTML page")
-	out := flags.Output("report.html")
-	verbose := flags.Verbose()
-	jobs := flags.Jobs()
-	cpuprofile, memprofile := flags.Profiles()
+	flags.SetUsage(flag.CommandLine, "report", "regenerate the paper's evaluation as a single self-contained HTML page")
+	out := flags.Output(flag.CommandLine, "report.html")
+	verbose := flags.Verbose(flag.CommandLine)
+	jobs := flags.Jobs(flag.CommandLine)
+	cpuprofile, memprofile := flags.Profiles(flag.CommandLine)
 	flag.Parse()
 
 	stopProf, err := profiling.Start(*cpuprofile, *memprofile)

@@ -18,7 +18,7 @@ import (
 )
 
 func main() {
-	flags.SetUsage("sweep", "run a cartesian parameter sweep and emit one CSV row per simulated point")
+	flags.SetUsage(flag.CommandLine, "sweep", "run a cartesian parameter sweep and emit one CSV row per simulated point")
 	apps := flag.String("apps", "", "comma-separated workloads (default: all 14)")
 	ppn := flag.String("ppn", "1,2,4", "comma-separated processors per node")
 	mps := flag.String("mp", "", "comma-separated pressures, e.g. 6%,50% (default: all 5)")
@@ -28,10 +28,10 @@ func main() {
 	clusters := flag.Int("clusters", 0, "ring cluster count (0 = one cluster per node)")
 	linkLat := flag.Int("linklat", 0, "ring link latency in ns (0 = default, -1 = explicitly zero)")
 	scalePressure := flag.Bool("scale-pressure", false, "hold the fractional memory pressure constant at non-paper machine sizes")
-	fidelity := flags.Fidelity()
-	verbose := flags.Verbose()
+	fidelity := flags.Fidelity(flag.CommandLine)
+	verbose := flags.Verbose(flag.CommandLine)
 	dryRun := flag.Bool("n", false, "print the point count and exit")
-	jobs := flags.Jobs()
+	jobs := flags.Jobs(flag.CommandLine)
 	flag.Parse()
 
 	spec := experiments.SweepSpec{

@@ -15,8 +15,8 @@ import (
 )
 
 func main() {
-	flags.SetUsage("thresholds", "print the paper's §4.2 analytical replication-threshold table")
-	procs := flags.Procs(16)
+	flags.SetUsage(flag.CommandLine, "thresholds", "print the paper's §4.2 analytical replication-threshold table")
+	procs := flags.Procs(flag.CommandLine, 16)
 	flag.Parse()
 
 	fmt.Println("Replication thresholds (paper Section 4.2): MP above which a line")

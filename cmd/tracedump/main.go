@@ -32,12 +32,9 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("tracedump", flag.ExitOnError)
 	fs.SetOutput(stderr)
-	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: tracedump [flags]\ngenerate workload traces and print their summary statistics\n\nflags:\n")
-		fs.PrintDefaults()
-	}
+	flags.SetUsage(fs, "tracedump", "generate workload traces and print their summary statistics")
 	only := fs.String("app", "", "generate only this application (default: all, extras included)")
-	procs := fs.Int("procs", 16, "total processor count")
+	procs := flags.Procs(fs, 16)
 	saveDir := fs.String("save", "", "write each generated trace into this directory in the compact COMATRC2 wire format")
 	load := fs.String("load", "", "summarize a COMATRC2 trace file instead of generating")
 	upload := fs.String("upload", "", "POST each generated trace to this comasrv base URL (e.g. http://127.0.0.1:8080) and print its digest")

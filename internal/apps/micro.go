@@ -2,6 +2,7 @@ package apps
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/trace"
 )
@@ -15,6 +16,21 @@ import (
 // MicroNames lists the micro-workload identifiers accepted by Micro.
 func MicroNames() []string {
 	return []string{"micro-private", "micro-readshared", "micro-migratory", "micro-producer"}
+}
+
+// Generate builds the named workload's trace at procs processors: a
+// micro-* name through Micro(name, procs, 64, 8), any other name through
+// its registry or extras entry (ByName). It is the one name resolver of
+// the experiment runner, cmd/comasim and the benchmarks.
+func Generate(name string, procs int) (*trace.Trace, error) {
+	if slices.Contains(MicroNames(), name) {
+		return Micro(name, procs, 64, 8), nil
+	}
+	a, err := ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	return a.Generate(procs), nil
 }
 
 // Micro generates the named micro-workload.

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/config"
 	"repro/internal/machine"
 )
@@ -290,5 +293,34 @@ func TestRunRejectsIncompleteConfig(t *testing.T) {
 		if _, err := r.RunTrace(tr, c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("RunTrace(%+v) err = %v, want %q", c.cfg, err, c.want)
 		}
+	}
+}
+
+// The runner resolves workload names through apps.Generate, so a
+// micro-pattern runs like a registry application: its trace is the one
+// apps.Micro(name, procs, 64, 8) builds, and Run gives the same result
+// as RunTrace over that trace.
+func TestRunnerRunsMicroWorkload(t *testing.T) {
+	r := NewRunner()
+	r.Procs = 8
+	tr, err := r.Trace("micro-producer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := apps.Micro("micro-producer", 8, 64, 8); !bytes.Equal(tr.EncodeCompact(), want.EncodeCompact()) {
+		t.Fatal("runner trace differs from apps.Micro's")
+	}
+	cfg := config.Baseline(2, config.MP6)
+	res, err := r.Run("micro-producer", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Procs = 8
+	direct, err := NewRunner().RunTrace(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reads == 0 || !reflect.DeepEqual(res, direct) {
+		t.Fatalf("Run: %d reads, exec %v; RunTrace: %d reads, exec %v", res.Reads, res.ExecTime, direct.Reads, direct.ExecTime)
 	}
 }

@@ -62,11 +62,11 @@ type Runner struct {
 	// when it finishes. The seam comasrv's span tracing hangs off.
 	// Called from worker goroutines; must be safe for concurrent use.
 	WrapSimulate func(app string, cfg config.Machine) func(err error)
-	// Generate, when non-nil, replaces the registry generator TraceAt
-	// calls on a trace-cache miss (apps.ByName(app).Generate(procs)):
-	// the seam comasrv's cross-request trace reuse hangs off. It must
-	// return the trace the registry would generate. Called from worker
-	// goroutines; must be safe for concurrent use.
+	// Generate, when non-nil, replaces the generator TraceAt calls on a
+	// trace-cache miss (apps.Generate(app, procs)): the seam comasrv's
+	// cross-request trace reuse hangs off. It must return the trace
+	// apps.Generate would. Called from worker goroutines; must be safe
+	// for concurrent use.
 	Generate func(app string, procs int) (*trace.Trace, error)
 
 	mu      sync.Mutex
@@ -164,11 +164,7 @@ func (r *Runner) generate(key traceKey) (*trace.Trace, error) {
 	if r.Generate != nil {
 		return r.Generate(key.app, key.procs)
 	}
-	a, err := apps.ByName(key.app)
-	if err != nil {
-		return nil, err
-	}
-	return a.Generate(key.procs), nil
+	return apps.Generate(key.app, key.procs)
 }
 
 // Run simulates one configuration, memoized and deduplicated: concurrent

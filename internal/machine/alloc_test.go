@@ -51,12 +51,13 @@ func TestSamplingOffZeroAlloc(t *testing.T) {
 }
 
 // TestFastForwardZeroAlloc pins the fast-forward reference path — the
-// line memo, the functional cache/protocol walk and the calibrated clock
-// advance — at zero heap allocations per reference. Fast-forward exists
-// to be cheap; an allocation per reference would cost more than the
-// detailed arbitration it skips. Window bookkeeping (ffSync open/close)
-// is excluded: it runs O(resources) work twice per sampling period, not
-// per reference, and its sample append is amortized by the slice cap.
+// same doRead/doWrite walk under freeflow, with pass-through claims and
+// the calibrated clock advance — at zero heap allocations per reference.
+// Fast-forward exists to be cheap; an allocation per reference would
+// cost more than the detailed arbitration it skips. Window bookkeeping
+// (ffSync open/close) is excluded: it runs O(resources) work twice per
+// sampling period, not per reference, and its sample append is
+// amortized by the slice cap.
 func TestFastForwardZeroAlloc(t *testing.T) {
 	p := DefaultParams(8, 2, 32*1024, 256*1024)
 	p.Fidelity = DefaultFidelity()
@@ -64,52 +65,10 @@ func TestFastForwardZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ffSteadyStateAllocs(m); got != 0 {
+	m.freeflow = true // as ffBurst drives the references
+	if got := steadyStateAllocs(m); got != 0 {
 		t.Fatalf("fast-forward references allocate %.2f times per ref, want 0", got)
 	}
-}
-
-// ffSteadyStateAllocs is steadyStateAllocs' fast-forward twin: same
-// warm-then-measure shape, but references run through ffRead/ffWrite
-// under freeflow, the way ffBurst drives them.
-func ffSteadyStateAllocs(m *Machine) float64 {
-	m.beginMeasure(0)
-	m.freeflow = true
-	defer func() { m.freeflow = false }()
-
-	const lines = 512
-	rng := rand.New(rand.NewSource(3))
-	addr := func() addrspace.Addr {
-		return addrspace.Addr((rng.Intn(lines) + 16) * addrspace.LineSize)
-	}
-	for i := 0; i < 8*lines; i++ {
-		q := m.procs[rng.Intn(len(m.procs))]
-		if i%3 == 0 {
-			m.ffWrite(q, addr())
-		} else {
-			m.ffRead(q, addr())
-		}
-	}
-	type ref struct {
-		proc  int
-		addr  addrspace.Addr
-		write bool
-	}
-	seq := make([]ref, 1024)
-	for i := range seq {
-		seq[i] = ref{proc: rng.Intn(len(m.procs)), addr: addr(), write: rng.Intn(3) == 0}
-	}
-	i := 0
-	return testing.AllocsPerRun(5000, func() {
-		r := seq[i%len(seq)]
-		i++
-		q := m.procs[r.proc]
-		if r.write {
-			m.ffWrite(q, r.addr)
-		} else {
-			m.ffRead(q, r.addr)
-		}
-	})
 }
 
 // steadyStateAllocs warms the machine's caches, directory and attraction

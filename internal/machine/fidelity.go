@@ -2,21 +2,23 @@ package machine
 
 // Adaptive fidelity (DESIGN.md §10): the sampled execution mode
 // interleaves functional fast-forward with detailed measurement windows,
-// SMARTS-style. Fast-forward keeps the full memory-system state machine
-// running — every reference walks the real L1/SLC/protocol paths, so
-// every *count* metric (reads, node misses, SLC misses, write-backs,
-// purges, bus occupancy, protocol counters) stays exactly counted — but
-// resources stop arbitrating (claims pass through, see Machine.claimRes)
-// and clocks advance by contention-free latency plus a calibrated mean
-// queueing delay per access, measured inside the detailed windows per
-// stall class (SLC / AM / remote) and separately for write drains. Only
-// timing is estimated; the estimate's spread across windows is reported
-// as per-metric confidence in Result.Fidelity.
+// SMARTS-style. Fast-forward is the detailed access path (exec, doRead,
+// doWrite, charge) run with Machine.freeflow set, so every reference
+// walks the real L1/SLC/protocol code and every *count* metric (reads,
+// node misses, SLC misses, write-backs, purges, bus occupancy, protocol
+// counters) stays exactly counted. Timing differs from detailed
+// execution at exactly three points: resource claims pass through
+// (Machine.claimRes), a read's latency becomes its contention-free
+// latency plus the calibrated mean queueing delay of its stall class
+// (ffState.scale), and a write drain's duration likewise (scaleW). The
+// delays are measured inside the detailed windows per stall class (SLC /
+// AM / remote) and separately for write drains. Only timing is
+// estimated; the estimate's spread across windows is reported as
+// per-metric confidence in Result.Fidelity.
 
 import (
 	"math"
 
-	"repro/internal/addrspace"
 	"repro/internal/engine"
 	"repro/internal/trace"
 )
@@ -283,14 +285,14 @@ func (m *Machine) ffClose(t engine.Time) {
 // noteRead folds one detailed-window read into the calibration: its
 // measured service time and the contention-free component (service
 // minus queueing delay).
-func (f *ffState) noteRead(id int, c StallClass, actual, cf engine.Time) {
+func (f *ffState) noteRead(c StallClass, actual, cf engine.Time) {
 	f.winActual[c] += actual
 	f.winCf[c] += cf
 	f.winN[c]++
 }
 
 // noteDrain folds one detailed-window write drain into the calibration.
-func (f *ffState) noteDrain(id int, actual, cf engine.Time) {
+func (f *ffState) noteDrain(actual, cf engine.Time) {
 	f.winWA += actual
 	f.winWCf += cf
 	f.winWN++
@@ -306,11 +308,13 @@ func waitOf(wait engine.Time, n int64) int64 {
 }
 
 // ffBurst fast-forwards p until the next detailed-phase boundary, a
-// synchronization record, or the end of its stream. Within a burst no
-// other processor runs, which is what makes the line memo exact: an
-// 8-entry direct-mapped memo of lines known L1-resident (reads) or
-// SLC-dirty with siblings already invalidated (writes) turns repeat hits
-// into near-free operations without touching the caches at all.
+// synchronization record, or the end of its stream. Records run through
+// exec — the detailed path — with freeflow set, so resource claims pass
+// through and doRead/doWrite λ-scale their clock advances; the clock,
+// the sampler and the window phase machine advance once per burst, not
+// per record. A synchronization record ends the burst: lock handoffs and
+// barrier releases move other processors' clocks, so the scheduler must
+// re-pick its minimum.
 func (m *Machine) ffBurst(p *proc) {
 	f := m.ff
 	m.now = p.t
@@ -323,173 +327,20 @@ func (m *Machine) ffBurst(p *proc) {
 		limit = cap
 	}
 	m.freeflow = true
-	// Valid (L1-residency) memo bits persist across bursts — the drop
-	// hooks keep them exact — but writable claims must be re-proved:
-	// another processor may have become a sharer since the last burst.
-	p.ffWritable = 0
 	refs := p.refs
 	n := refs.Len()
-burst:
 	for p.pc < n && p.t < limit {
 		r := refs.At(p.pc)
-		switch r.Kind {
-		case trace.Read:
-			p.pc++
+		if r.Kind == trace.Read || r.Kind == trace.Write {
 			f.fastRefs++
-			m.ffRead(p, r.Addr)
-		case trace.Write:
-			p.pc++
-			f.fastRefs++
-			m.ffWrite(p, r.Addr)
-		case trace.Compute:
-			p.pc++
-			if m.measuring {
-				p.st.Busy += r.Dur
-			}
-			p.t += r.Dur
-		case trace.Acquire:
-			// Synchronization delegates to the exact handlers (under
-			// freeflow, so their charges are contention-free) and ends
-			// the burst: lock handoffs and barrier releases move other
-			// processors' clocks, so the scheduler must re-pick its
-			// minimum.
-			if m.doAcquire(p, r) {
-				p.pc++
-			}
-			break burst
-		case trace.Release:
-			p.pc++
-			m.doRelease(p, r)
-			break burst
-		case trace.Barrier, trace.MeasureStart:
-			p.pc++
-			m.doBarrier(p, r)
-			break burst
-		default:
-			panic("machine: unknown ref kind in fast-forward")
+		}
+		if m.exec(p, r) {
+			break
 		}
 	}
 	m.freeflow = false
 	if !p.blocked && !p.done && p.pc >= n {
 		m.finish(p)
-	}
-}
-
-// ffRead is doRead's fast-forward twin: identical cache and protocol
-// walk (counts stay exact), freeflow charge for the contention-free
-// latency, λ-scaled clock advance. A memo hit is exact because the L1 is
-// direct-mapped and no other processor interleaves within the burst.
-func (m *Machine) ffRead(p *proc, a addrspace.Addr) {
-	if m.measuring {
-		p.st.Reads++
-		m.reads++
-	}
-	l := addrspace.LineOf(a)
-	i := uint64(l) & 63
-	bit := uint64(1) << i
-	if p.ffValid&bit != 0 && p.ffLines[i] == l {
-		if m.measuring {
-			m.latency.add(0)
-		}
-		return
-	}
-	if p.l1.has(l) {
-		p.ffLines[i] = l
-		p.ffValid |= bit
-		p.ffWritable &^= bit
-		if m.measuring {
-			m.latency.add(0)
-		}
-		return
-	}
-	if _, ok := p.slc.Touch(l); ok {
-		d := m.ff.scale(p, DefaultSLCHit, StallSLC)
-		p.t += d
-		m.l1Insert(p, l)
-		m.stall(p, StallSLC, d)
-		if m.measuring {
-			m.latency.add(d)
-		}
-		return
-	}
-	t0 := p.t
-	eff := m.mem.Read(p.node, l)
-	done, class := m.charge(p.node, p.slcRes, t0, eff)
-	d := m.ff.scale(p, done-t0, class)
-	p.t = t0 + d
-	m.l1Insert(p, l)
-	m.slcInsert(p, l, cacheValid)
-	if m.measuring {
-		m.slcMisses++
-		if !eff.Hit && !eff.Cold {
-			m.readNodeMisses++
-		}
-		m.latency.add(d)
-	}
-	m.stall(p, class, d)
-}
-
-// ffWrite is doWrite's fast-forward twin. A memo-writable hit skips the
-// L1 probe, the state compare and the (idempotent within a burst)
-// sibling invalidations, but still refreshes the SLC recency stream so
-// later replacement decisions match detailed execution exactly.
-func (m *Machine) ffWrite(p *proc, a addrspace.Addr) {
-	if m.measuring {
-		p.st.Writes++
-	}
-	l := addrspace.LineOf(a)
-	i := uint64(l) & 63
-	bit := uint64(1) << i
-	if p.ffWritable&bit != 0 && p.ffLines[i] == l {
-		p.slc.Touch(l)
-		return
-	}
-	inL1 := p.l1.has(l)
-	if st, ok := p.slc.Touch(l); ok && st == cacheDirty {
-		if !m.params.Policy.WriteUpdate {
-			m.invalidateSiblings(p, l)
-		}
-		p.ffLines[i] = l
-		p.ffWritable |= bit
-		if inL1 {
-			p.ffValid |= bit
-		} else {
-			p.ffValid &^= bit
-		}
-		return
-	}
-	p.retireDrains()
-	if p.wbLen >= m.params.WriteBufferDepth {
-		head := p.wb[p.wbHead]
-		m.stall(p, head.class, head.done-p.t)
-		p.t = head.done
-		p.retireDrains()
-	}
-	start := engine.Max(p.t, p.wbLast)
-	eff := m.mem.Write(p.node, l)
-	done, class := m.charge(p.node, p.slcRes, start, eff)
-	done = start + m.ff.scaleW(p, done-start)
-	p.wbLast = done
-	slot := p.wbHead + p.wbLen
-	if slot >= len(p.wb) {
-		slot -= len(p.wb)
-	}
-	p.wb[slot] = wbEntry{done: done, class: class}
-	p.wbLen++
-	st := cacheValid
-	if eff.Writable {
-		st = cacheDirty
-	}
-	m.slcInsert(p, l, st)
-	m.l1Insert(p, l)
-	if !m.params.Policy.WriteUpdate {
-		m.invalidateSiblings(p, l)
-	}
-	if eff.Writable {
-		p.ffWritable |= bit
-	}
-	if m.measuring {
-		m.slcMisses++
 	}
 }
 

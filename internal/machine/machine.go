@@ -63,16 +63,6 @@ type proc struct {
 	// and deterministic.
 	ffRem int64
 
-	// Fast-forward line memo (sampled fidelity only; see ffRead/ffWrite):
-	// a 64-entry direct-mapped table of lines known L1-resident (ffValid)
-	// or SLC-dirty with siblings already invalidated (ffWritable). Valid
-	// bits persist across bursts — every path that can remove a line from
-	// this processor's L1 (own eviction, sibling store, AM purge) drops
-	// the memo entry — while writable bits are re-proved each burst.
-	ffLines    [64]addrspace.Line
-	ffValid    uint64
-	ffWritable uint64
-
 	st ProcStats
 }
 
@@ -189,13 +179,14 @@ type Machine struct {
 	dirtyPurges    int64
 	latency        LatencyHist
 
-	// Adaptive fidelity (fidelity.go). ff is nil in exact mode, so the
-	// exact path pays nothing beyond always-false branch checks:
-	// counting gates the window-calibration sites (true only inside a
-	// sampled measurement window), freeflow makes resource claims pass
-	// through during fast-forward, waitAcc accumulates queueing delay
-	// for the λ calibration. The fast-forward line memo lives on each
-	// proc.
+	// Adaptive fidelity (fidelity.go). The two flags are the timing
+	// strategy over the one access path (exec, doRead, doWrite, charge):
+	// counting (true only inside a sampled measurement window) feeds each
+	// read's and drain's queueing delay, accumulated in waitAcc, into the
+	// λ calibration; freeflow (true only during a fast-forward burst)
+	// makes resource claims pass through and λ-scales clock advances. ff
+	// is nil in exact mode, where both flags stay false and the path pays
+	// nothing beyond always-false branch checks.
 	ff       *ffState
 	counting bool
 	freeflow bool
@@ -358,9 +349,6 @@ func (m *Machine) onPurge(node int, l addrspace.Line, evict bool) {
 			m.dirtyPurges++
 		}
 		m.procs[i].slc.Invalidate(l)
-		if m.ff != nil {
-			m.procs[i].ffDrop(l)
-		}
 	}
 }
 
@@ -371,9 +359,6 @@ func (m *Machine) onDowngrade(node int, l addrspace.Line) {
 	for i := first; i < first+m.params.ProcsPerNode; i++ {
 		if st, ok := m.procs[i].slc.Lookup(l); ok && st == cacheDirty {
 			m.procs[i].slc.SetState(l, cacheValid)
-		}
-		if m.ff != nil {
-			m.procs[i].ffDrop(l)
 		}
 	}
 }
@@ -405,12 +390,8 @@ func (m *Machine) RunContext(ctx context.Context, tr *trace.Trace) (*Result, err
 	}
 	done := ctx.Done() // nil when ctx can never be cancelled
 	steps := 0
-	// Step the (clock, id)-minimum processor in place. The order is a
-	// strict total order, so while a step leaves p's clock unchanged —
-	// L1-hit loads, stores absorbed by the write buffer — p is still the
-	// unique minimum and can keep stepping with no tree work at all:
-	// every path that wakes another processor (release, barrier exit)
-	// also advances p's clock, so no other key can have moved meanwhile.
+	// Run the (clock, id)-minimum processor in place, detailed (step) or
+	// fast-forward (ffBurst), then re-key it.
 	for {
 		if done != nil {
 			if steps++; steps >= cancelCheckInterval {
@@ -430,13 +411,7 @@ func (m *Machine) RunContext(ctx context.Context, tr *trace.Trace) (*Result, err
 		if m.ff != nil && m.ff.fastAt(p.t) {
 			m.ffBurst(p)
 		} else {
-			for {
-				t0 := p.t
-				m.step(p)
-				if p.done || p.blocked || p.t != t0 {
-					break
-				}
-			}
+			m.step(p)
 		}
 		if uint64(p.t) >= m.ready.maxClock {
 			// Only an uploaded trace's compute records can push a clock
@@ -469,54 +444,72 @@ func refAt(p *proc) string {
 	return "end"
 }
 
-// step executes one trace record for p.
+// step executes p's trace records in detailed mode, advancing the
+// sampler and the window phase machine before each, until one moves p's
+// clock, blocks p or finishes it. The (clock, id) order is a strict
+// total order, so while a record leaves p's clock unchanged — L1-hit
+// loads, stores absorbed by the write buffer — p is still the unique
+// minimum and can keep stepping with no tree work at all: every path
+// that wakes another processor (release, barrier exit) also advances
+// p's clock, so no other key can have moved meanwhile.
 func (m *Machine) step(p *proc) {
-	m.now = p.t
-	if m.sampler != nil {
-		// Scheduler time is non-decreasing (the tree steps the global
-		// (clock, id) minimum), so this closes every window the clock
-		// passed.
-		m.sampler.Advance(int64(p.t))
+	t0 := p.t
+	for {
+		m.now = t0
+		if m.sampler != nil {
+			// Scheduler time is non-decreasing (the tree steps the
+			// global (clock, id) minimum), so this closes every window
+			// the clock passed.
+			m.sampler.Advance(int64(t0))
+		}
+		if m.ff != nil {
+			m.ffSync(t0)
+		}
+		// A processor released from a final barrier has nothing left
+		// to run.
+		if p.pc < p.refs.Len() {
+			m.exec(p, p.refs.At(p.pc))
+		}
+		if !p.blocked && p.pc >= p.refs.Len() {
+			m.finish(p)
+		}
+		if p.done || p.blocked || p.t != t0 {
+			return
+		}
 	}
-	if m.ff != nil {
-		m.ffSync(p.t)
-	}
-	if p.pc >= p.refs.Len() {
-		// Released from a final barrier with nothing left to run.
-		m.finish(p)
-		return
-	}
-	r := p.refs.At(p.pc)
+}
+
+// exec executes trace record r for p — the one record dispatch shared by
+// detailed steps and fast-forward bursts — and reports whether r was a
+// synchronization record. A blocked acquire leaves p.pc on r, to be
+// retried when p is woken.
+func (m *Machine) exec(p *proc, r trace.Ref) (sync bool) {
 	switch r.Kind {
 	case trace.Compute:
 		if m.measuring {
 			p.st.Busy += r.Dur
 		}
 		p.t += r.Dur
-		p.pc++
 	case trace.Read:
 		m.doRead(p, r.Addr)
-		p.pc++
 	case trace.Write:
 		m.doWrite(p, r.Addr)
-		p.pc++
 	case trace.Acquire:
 		if !m.doAcquire(p, r) {
-			return // blocked; retry the same record when woken
+			return true
 		}
-		p.pc++
+		sync = true
 	case trace.Release:
 		m.doRelease(p, r)
-		p.pc++
+		sync = true
 	case trace.Barrier, trace.MeasureStart:
-		p.pc++
 		m.doBarrier(p, r)
+		sync = true
 	default:
 		panic(fmt.Sprintf("machine: unknown ref kind %d", r.Kind))
 	}
-	if !p.blocked && p.pc >= p.refs.Len() {
-		m.finish(p)
-	}
+	p.pc++
+	return sync
 }
 
 // finish marks a processor complete, folding outstanding write-buffer
@@ -529,7 +522,9 @@ func (m *Machine) finish(p *proc) {
 	}
 }
 
-// doRead services a blocking load.
+// doRead services a blocking load. In fast-forward (freeflow) the
+// latency the processor stalls for is the contention-free one plus the
+// stall class's calibrated mean queueing delay.
 func (m *Machine) doRead(p *proc, a addrspace.Addr) {
 	if m.measuring {
 		p.st.Reads++
@@ -545,74 +540,43 @@ func (m *Machine) doRead(p *proc, a addrspace.Addr) {
 		}
 		return
 	}
-	t0 := p.t
-	if _, ok := p.slc.Touch(l); ok {
-		start := p.slcRes.Claim(p.t, DefaultSLCHit)
-		p.t = start + DefaultSLCHit
-		m.l1Insert(p, l)
-		m.stall(p, StallSLC, p.t-t0)
+	t0, w0 := p.t, m.waitAcc
+	var done engine.Time
+	class := StallSLC
+	_, slcHit := p.slc.Touch(l)
+	if slcHit {
+		done = m.claimRes(p.slcRes, t0, DefaultSLCHit) + DefaultSLCHit
+	} else {
+		eff := m.mem.Read(p.node, l)
+		if m.sampler != nil {
+			m.sampler.NoteMiss(!eff.Hit && !eff.Cold)
+		}
+		done, class = m.charge(p.node, p.slcRes, t0, eff)
 		if m.measuring {
-			m.latency.add(p.t - t0)
+			m.slcMisses++
+			if !eff.Hit && !eff.Cold {
+				m.readNodeMisses++
+			}
 		}
-		if m.counting {
-			m.ff.noteRead(p.id, StallSLC, p.t-t0, DefaultSLCHit)
-		}
-		return
 	}
-	var w0 engine.Time
-	if m.counting {
-		w0 = m.waitAcc
-	}
-	eff := m.mem.Read(p.node, l)
-	if m.sampler != nil {
-		m.sampler.NoteMiss(!eff.Hit && !eff.Cold)
-	}
-	done, class := m.charge(p.node, p.slcRes, p.t, eff)
+	d := done - t0
 	if m.counting {
 		// Calibration: the read's measured service time against its
 		// contention-free component (service minus queueing delay).
-		m.ff.noteRead(p.id, class, done-t0, (done-t0)-(m.waitAcc-w0))
+		m.ff.noteRead(class, d, d-(m.waitAcc-w0))
 	}
-	p.t = done
-	m.l1Insert(p, l)
-	m.slcInsert(p, l, cacheValid)
+	if m.freeflow {
+		d = m.ff.scale(p, d, class)
+	}
+	p.t = t0 + d
+	p.l1.insert(l)
+	if !slcHit {
+		m.slcInsert(p, l, cacheValid)
+	}
 	if m.measuring {
-		m.slcMisses++
-		if !eff.Hit && !eff.Cold {
-			m.readNodeMisses++
-		}
-		m.latency.add(p.t - t0)
+		m.latency.add(d)
 	}
-	m.stall(p, class, p.t-t0)
-}
-
-// l1Insert fills p's L1 and, in sampled mode, records the line in p's
-// fast-forward memo (the eviction drop keeps the memo's L1-residency
-// claims exact).
-func (m *Machine) l1Insert(p *proc, l addrspace.Line) {
-	victim, evicted := p.l1.insert(l)
-	if m.ff == nil {
-		return
-	}
-	if evicted {
-		p.ffDrop(victim)
-	}
-	i := uint64(l) & 63
-	bit := uint64(1) << i
-	p.ffLines[i] = l
-	p.ffValid |= bit
-	p.ffWritable &^= bit
-}
-
-// ffDrop evicts a line from p's fast-forward memo (its residency claim no
-// longer holds).
-func (p *proc) ffDrop(l addrspace.Line) {
-	i := uint64(l) & 63
-	if p.ffLines[i] == l {
-		bit := uint64(1) << i
-		p.ffValid &^= bit
-		p.ffWritable &^= bit
-	}
+	m.stall(p, class, d)
 }
 
 // slcInsert fills the SLC, writing back a displaced dirty victim to the
@@ -623,9 +587,6 @@ func (m *Machine) slcInsert(p *proc, l addrspace.Line, st cache.State) {
 		return
 	}
 	p.l1.invalidate(victim.Line)
-	if m.ff != nil {
-		p.ffDrop(victim.Line)
-	}
 	if victim.State == cacheDirty {
 		m.writeBacks++
 		eff := m.mem.WriteBack(p.node, victim.Line)
@@ -677,7 +638,8 @@ func (m *Machine) stall(p *proc, c StallClass, d engine.Time) {
 // dirty, AM Exclusive) completes in the SLC; otherwise it needs an
 // AM-level action (allocate/upgrade/fetch-exclusive) which drains through
 // the write buffer — the processor stalls only when the buffer is full
-// (release consistency).
+// (release consistency). In fast-forward (freeflow) a drain lasts its
+// contention-free duration plus the calibrated mean drain queueing delay.
 func (m *Machine) doWrite(p *proc, a addrspace.Addr) {
 	if m.measuring {
 		p.st.Writes++
@@ -688,7 +650,7 @@ func (m *Machine) doWrite(p *proc, a addrspace.Addr) {
 	l := addrspace.LineOf(a)
 	// The L1 is write-through into the SLC, so a store never probes it.
 	if st, ok := p.slc.Touch(l); ok && st == cacheDirty {
-		p.slcRes.Claim(p.t, DefaultSLCWrite) // write-port pressure only
+		m.claimRes(p.slcRes, p.t, DefaultSLCWrite) // write-port pressure only
 		if !m.params.Policy.WriteUpdate {
 			m.invalidateSiblings(p, l)
 		}
@@ -721,16 +683,16 @@ func (m *Machine) doWrite(p *proc, a addrspace.Addr) {
 	if m.measuring {
 		m.slcMisses++
 	}
-	var w0 engine.Time
-	if m.counting {
-		w0 = m.waitAcc
-	}
+	w0 := m.waitAcc
 	done, class := m.charge(p.node, p.slcRes, start, eff)
 	if m.counting {
 		// Drain calibration, measured from the drain's scheduled start
 		// (not the store's issue time) so write-buffer backlog isn't
 		// double-counted as contention.
-		m.ff.noteDrain(p.id, done-start, (done-start)-(m.waitAcc-w0))
+		m.ff.noteDrain(done-start, (done-start)-(m.waitAcc-w0))
+	}
+	if m.freeflow {
+		done = start + m.ff.scaleW(p, done-start)
 	}
 	p.wbLast = done
 	slot := p.wbHead + p.wbLen
@@ -747,7 +709,7 @@ func (m *Machine) doWrite(p *proc, a addrspace.Addr) {
 		st = cacheDirty
 	}
 	m.slcInsert(p, l, st)
-	m.l1Insert(p, l)
+	p.l1.insert(l)
 	if !m.params.Policy.WriteUpdate {
 		// Update-policy stores refresh sibling copies in place; the
 		// invalidation protocol kills them.
@@ -765,9 +727,6 @@ func (m *Machine) invalidateSiblings(p *proc, l addrspace.Line) {
 		}
 		m.procs[i].l1.invalidate(l)
 		m.procs[i].slc.Invalidate(l)
-		if m.ff != nil {
-			m.procs[i].ffDrop(l)
-		}
 	}
 }
 

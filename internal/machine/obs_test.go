@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/addrspace"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -18,14 +19,44 @@ func obsTrace(procs int) *trace.Trace {
 	return randomTrace(rng, procs)
 }
 
+// sampledTrace is a workload whose measured section spans more than one
+// default sampling period (256 µs, the first 32 µs of it detailed), so a
+// sampled run fast-forwards most of it: processor 0 writes the data
+// untimed, then every processor reads and writes it at random, with
+// compute between references and a barrier per phase.
+func sampledTrace(procs int) *trace.Trace {
+	const lines = 1024
+	rng := rand.New(rand.NewSource(11))
+	b := trace.NewBuilder("sampled", procs)
+	addr := func(i int) addrspace.Addr { return addrspace.Addr(0x10000 + i*addrspace.LineSize) }
+	for i := 0; i < lines; i++ {
+		b.Write(0, addr(i))
+	}
+	b.MeasureStart()
+	for ph := 0; ph < 4; ph++ {
+		for p := 0; p < procs; p++ {
+			for i := 0; i < 2000; i++ {
+				if a := addr(rng.Intn(lines)); rng.Intn(3) == 0 {
+					b.Write(p, a)
+				} else {
+					b.Read(p, a)
+				}
+				b.Compute(p, 40)
+			}
+		}
+		b.Barrier()
+	}
+	return b.Build(lines * addrspace.LineSize)
+}
+
 // Instrumentation must be a pure observer: a machine with a sink installed
-// produces a bit-identical Result to one without. The same zero-perturbation
-// contract covers the fidelity knob: exact mode with sampling geometry
-// parameters present must not change a single bit either — the sampled
-// machinery may only exist when Mode is sampled.
+// produces a bit-identical Result to one without, in exact and in sampled
+// mode, where fast-forward runs the same instrumented access path. The
+// same zero-perturbation contract covers the fidelity knob: exact mode
+// with sampling geometry parameters present must not change a single bit
+// either — the sampled machinery may only exist when Mode is sampled.
 func TestInstrumentationDoesNotPerturb(t *testing.T) {
-	tr := obsTrace(8)
-	run := func(sink obs.Sink, fid Fidelity) *Result {
+	run := func(tr *trace.Trace, sink obs.Sink, sampling bool, fid Fidelity) *Result {
 		p := tinyParams(8, 2)
 		p.Fidelity = fid
 		m, err := New(p)
@@ -35,22 +66,69 @@ func TestInstrumentationDoesNotPerturb(t *testing.T) {
 		if sink != nil {
 			m.SetSink(sink)
 		}
+		if sampling {
+			m.EnableSampling(10000)
+		}
 		res, err := m.Run(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	plain := run(nil, Fidelity{})
-	traced := run(&obs.Counting{}, Fidelity{})
+	tr := obsTrace(8)
+	plain := run(tr, nil, false, Fidelity{})
+	traced := run(tr, &obs.Counting{}, false, Fidelity{})
 	if !reflect.DeepEqual(plain, traced) {
 		t.Fatal("installing a sink changed the simulation result")
 	}
 	spec := DefaultFidelity()
 	spec.Mode = FidelityExact
-	exact := run(nil, spec)
+	exact := run(tr, nil, false, spec)
 	if !reflect.DeepEqual(plain, exact) {
 		t.Fatal("exact fidelity with sampling geometry present changed the simulation result")
+	}
+
+	long := sampledTrace(8)
+	bare := run(long, nil, false, DefaultFidelity())
+	if bare.Fidelity.FastRefs == 0 {
+		t.Fatal("no measured reference was fast-forwarded")
+	}
+	observed := run(long, &obs.Counting{}, true, DefaultFidelity())
+	if observed.Timeline == nil {
+		t.Fatal("sampled run with a sampler has no timeline")
+	}
+	observed.Timeline = nil
+	if !reflect.DeepEqual(bare, observed) {
+		t.Fatal("installing a sink and a sampler changed the sampled simulation result")
+	}
+}
+
+// A sampled run's timeline counts every data reference of the trace, the
+// fast-forwarded ones included: fast-forward runs the detailed access
+// path, sampler notes and all.
+func TestSampledTimelineCoversEveryReference(t *testing.T) {
+	tr := sampledTrace(8)
+	p := tinyParams(8, 2)
+	p.Fidelity = DefaultFidelity()
+	m, err := New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.EnableSampling(10000)
+	res, err := m.Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Fidelity.FastRefs == 0 {
+		t.Fatal("no measured reference was fast-forwarded")
+	}
+	var reads, writes int64
+	for i := range res.Timeline.Reads {
+		reads += res.Timeline.Reads[i]
+		writes += res.Timeline.Writes[i]
+	}
+	if c := tr.Counts(); reads != c.Reads || writes != c.Writes {
+		t.Fatalf("timeline counts %d reads, %d writes; the trace has %d and %d", reads, writes, c.Reads, c.Writes)
 	}
 }
 
