@@ -93,3 +93,29 @@ func TestGenerationDigestsPinned(t *testing.T) {
 		t.Logf("current digests:\n%s", strings.Join(got, "\n"))
 	}
 }
+
+// TestRegistryTracesSpillOnlyLocks: every registry trace (extras
+// included) at 8, 16 and 64 processors takes 4 bytes per record plus one
+// 32-byte side slot per Acquire or Release record, so no generated
+// record's payload is too wide for the in-memory word's 29 bits.
+func TestRegistryTracesSpillOnlyLocks(t *testing.T) {
+	for _, a := range All() {
+		for _, procs := range []int{8, 16, 64} {
+			tr := a.Generate(procs)
+			records, locks := 0, 0
+			for p := range tr.Streams {
+				st := &tr.Streams[p]
+				records += st.Len()
+				for i := 0; i < st.Len(); i++ {
+					if k := st.Kind(i); k == trace.Acquire || k == trace.Release {
+						locks++
+					}
+				}
+			}
+			if got, want := tr.MemBytes(), 4*records+32*locks; got != want {
+				t.Errorf("%s/%d: MemBytes %d, want 4*%d records + 32*%d locks = %d",
+					a.Name, procs, got, records, locks, want)
+			}
+		}
+	}
+}

@@ -28,7 +28,7 @@ func Generate(name string, procs int) (*trace.Trace, error) {
 	}
 	a, err := ByName(name)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("apps: unknown application %q (known: %v)", name, append(AllNames(), MicroNames()...))
 	}
 	return a.Generate(procs), nil
 }

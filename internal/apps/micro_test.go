@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/trace"
@@ -15,6 +16,20 @@ func TestMicroDispatch(t *testing.T) {
 		s := tr.Summarize()
 		if s.Reads == 0 && s.Writes == 0 {
 			t.Fatalf("%s: empty trace", name)
+		}
+	}
+}
+
+// TestGenerateUnknownNameListsMicro: Generate accepts the micro-* names,
+// so its unknown-name error lists them beside the registry's.
+func TestGenerateUnknownNameListsMicro(t *testing.T) {
+	_, err := Generate("nosuch", 8)
+	if err == nil {
+		t.Fatal("Generate accepted an unknown name")
+	}
+	for _, want := range []string{`unknown application "nosuch"`, "fft", "micro-producer"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
 		}
 	}
 }

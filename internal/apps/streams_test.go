@@ -54,7 +54,7 @@ func TestCompactStreamsRoundTripAllApps(t *testing.T) {
 
 // The compact form earns its keep: across the whole registry it must use
 // well under half the memory of the boxed 32-byte []Ref representation
-// (reads/writes/computes pack into 8 bytes; only denormal records spill).
+// (reads/writes/computes pack into 4 bytes; only locks spill).
 func TestCompactStreamsActuallyCompact(t *testing.T) {
 	var compact, boxed uint64
 	for _, a := range All() {

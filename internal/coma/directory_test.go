@@ -211,15 +211,15 @@ func TestHierarchyMaintenanceZeroAlloc(t *testing.T) {
 	for _, l := range lines {
 		h.OnTransition(0, l, cache.Invalid, Exclusive)
 	}
-	i := 0
-	got := testing.AllocsPerRun(5000, func() {
-		l := lines[i%len(lines)]
-		n := (i*5 + 1) % 8
-		i++
-		h.OnTransition(n, l, cache.Invalid, Shared)
-		h.OnTransition(n, l, Shared, cache.Invalid)
+	got := loopAllocs(func() {
+		for i := 0; i < 5000; i++ {
+			l := lines[i%len(lines)]
+			n := (i*5 + 1) % 8
+			h.OnTransition(n, l, cache.Invalid, Shared)
+			h.OnTransition(n, l, Shared, cache.Invalid)
+		}
 	})
 	if got != 0 {
-		t.Fatalf("directory maintenance allocates %.2f times per transition, want 0", got)
+		t.Fatalf("directory maintenance allocates %.0f times in 5000 rounds, want 0", got)
 	}
 }

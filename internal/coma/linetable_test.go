@@ -181,23 +181,25 @@ func FuzzLineTable(f *testing.F) {
 }
 
 // TestLineTableZeroAlloc pins the directory's hot operations at zero
-// allocations per op once the table has grown to its working size
-// (lookup, update, delete, reinsert — the steady-state mix the bus snoop
-// path performs).
+// allocations once the table has grown to its working size (lookup,
+// update, delete, reinsert — the steady-state mix the bus snoop path
+// performs).
 func TestLineTableZeroAlloc(t *testing.T) {
 	tab := newLineTable()
 	for i := 1; i <= 64; i++ {
 		tab.put(addrspace.Line(i), lineInfo{owner: 1, copies: 3})
 	}
 	var sink lineInfo
-	allocs := testing.AllocsPerRun(1000, func() {
-		sink, _ = tab.get(37)
-		tab.put(37, lineInfo{owner: 2, copies: 7})
-		tab.del(37)
-		tab.put(37, lineInfo{owner: 1, copies: 3})
+	allocs := loopAllocs(func() {
+		for i := 0; i < 1000; i++ {
+			sink, _ = tab.get(37)
+			tab.put(37, lineInfo{owner: 2, copies: 7})
+			tab.del(37)
+			tab.put(37, lineInfo{owner: 1, copies: 3})
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("directory ops allocate %.1f times per op, want 0", allocs)
+		t.Fatalf("directory ops allocate %.0f times in 1000 rounds, want 0", allocs)
 	}
 	_ = sink
 }
@@ -234,18 +236,18 @@ func TestProtocolSteadyStateZeroAlloc(t *testing.T) {
 		seq[i].line = addrspace.Line(rng.Intn(lines) + 1)
 		seq[i].write = rng.Intn(3) == 0
 	}
-	i := 0
-	allocs := testing.AllocsPerRun(2000, func() {
-		s := seq[i%len(seq)]
-		i++
-		if s.write {
-			p.Write(s.node, s.line)
-		} else {
-			p.Read(s.node, s.line)
+	allocs := loopAllocs(func() {
+		for i := 0; i < 2000; i++ {
+			s := seq[i%len(seq)]
+			if s.write {
+				p.Write(s.node, s.line)
+			} else {
+				p.Read(s.node, s.line)
+			}
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state protocol references allocate %.2f times per ref, want 0", allocs)
+		t.Fatalf("steady-state protocol references allocate %.0f times in 2000, want 0", allocs)
 	}
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -296,4 +298,18 @@ func TestDirectorySizedByResidentLines(t *testing.T) {
 			t.Errorf("%s: %d slots for at most %d resident lines (limit %d)", name, n, working, limit)
 		}
 	}
+}
+
+// loopAllocs counts heap allocations over whole runs of loop and returns
+// the fewest of up to three runs. One run per step would let
+// testing.AllocsPerRun's integer division read 0 for a path that
+// allocates on most steps but not all. A rare allocation by the runtime
+// itself, seen under CPU contention, can land in one run but not in
+// all three, while an allocation on the measured path lands in every run.
+func loopAllocs(loop func()) float64 {
+	n := testing.AllocsPerRun(1, loop)
+	for i := 1; i < 3 && n > 0; i++ {
+		n = min(n, testing.AllocsPerRun(1, loop))
+	}
+	return n
 }

@@ -207,6 +207,6 @@ func TestRingSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := steadyStateAllocs(m); got != 0 {
-		t.Fatalf("ring steady-state references allocate %.2f times per ref, want 0", got)
+		t.Fatalf("ring steady-state references allocate %.0f times in %d, want 0", got, steadyRefs)
 	}
 }

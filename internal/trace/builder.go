@@ -14,8 +14,9 @@ import (
 // builder emits the compact Stream form directly, so a generated trace
 // never exists in the boxed []Ref representation.
 //
-// While the kernel runs, each processor's op words go into fixed-size
-// chunks; Build copies them once into an exact-size array per stream.
+// While the kernel runs, each processor's 4-byte op words go into
+// fixed-size chunks; Build copies them once into an exact-size array per
+// stream.
 // Growing one slice per stream instead re-copies it at every 1.25×
 // growth step and leaves up to a quarter of it as spare capacity.
 type Builder struct {
@@ -28,15 +29,15 @@ type Builder struct {
 
 // chunkOps is the op-word capacity of one builder chunk: 32 KiB, the
 // largest size the runtime still serves from its per-size-class caches.
-const chunkOps = 4096
+const chunkOps = 8192
 
 // pendingStream is one processor's stream under construction: its full
 // chunks, the chunk being filled and the side table. A full chunk moves
 // to full only when the next record needs room, so the last record
 // pushed always sits in cur, where a Compute can coalesce with it.
 type pendingStream struct {
-	full [][]uint64
-	cur  []uint64
+	full [][]uint32
+	cur  []uint32
 	side []Ref
 }
 
@@ -65,7 +66,7 @@ func (b *Builder) Compute(p int, d engine.Time) {
 		return
 	}
 	if s := &b.pending[p]; !s.addCompute(d) {
-		s.append(Ref{Kind: Compute, Dur: d})
+		s.compute(d)
 	}
 }
 
@@ -116,12 +117,12 @@ func (b *Builder) Build(workingSet uint64) *Trace {
 	return &Trace{Name: b.name, Procs: b.procs, WorkingSet: workingSet, Streams: streams}
 }
 
-func (s *pendingStream) push(op uint64) {
+func (s *pendingStream) push(op uint32) {
 	if len(s.cur) == cap(s.cur) {
 		if s.cur != nil {
 			s.full = append(s.full, s.cur)
 		}
-		s.cur = make([]uint64, 0, chunkOps)
+		s.cur = make([]uint32, 0, chunkOps)
 	}
 	s.cur = append(s.cur, op)
 }
@@ -129,8 +130,8 @@ func (s *pendingStream) push(op uint64) {
 // mem records a Read or Write. An address that fits the inline payload
 // is packed directly; any other spills to the side table through pack.
 func (s *pendingStream) mem(k Kind, a addrspace.Addr) {
-	if uint64(a) <= opPayloadMask {
-		s.push(uint64(k)<<opKindShift | uint64(a))
+	if uint64(a) <= uint64(opPayloadMask) {
+		s.push(uint32(k)<<opKindShift | uint32(a))
 		return
 	}
 	s.append(Ref{Kind: k, Addr: a})
@@ -139,23 +140,42 @@ func (s *pendingStream) mem(k Kind, a addrspace.Addr) {
 func (s *pendingStream) append(r Ref) { s.push(pack(r, &s.side)) }
 
 // addCompute extends the trailing Compute record by d and reports whether
-// it could (the coalescing fast path).
+// it could within the 29-bit payload (the coalescing fast path).
 func (s *pendingStream) addCompute(d engine.Time) bool {
 	n := len(s.cur) - 1
-	if n < 0 || s.cur[n]>>opKindShift != uint64(Compute) {
+	if n < 0 || s.cur[n]>>opKindShift != uint32(Compute) || uint64(s.cur[n]&opPayloadMask)+uint64(d) > uint64(opPayloadMask) {
 		return false
 	}
-	sum := s.cur[n]&opPayloadMask + uint64(d)
-	if sum > opPayloadMask {
-		return false
-	}
-	s.cur[n] = uint64(Compute)<<opKindShift | sum
+	s.cur[n] += uint32(d)
 	return true
+}
+
+// compute records a Compute of d that addCompute could not absorb.
+// Computes coalesce while the sum fits the wire's 61-bit payload, as they
+// would in a 61-bit word: a sum too wide for the 29-bit word moves the
+// trailing record to the side table, and a Compute already there grows
+// in place. Otherwise d starts a new record.
+func (s *pendingStream) compute(d engine.Time) {
+	if n := len(s.cur) - 1; n >= 0 {
+		switch op := s.cur[n]; op >> opKindShift {
+		case uint32(Compute):
+			if sum := uint64(op&opPayloadMask) + uint64(d); sum <= wirePayloadMask {
+				s.cur[n] = spill(Ref{Kind: Compute, Dur: engine.Time(sum)}, &s.side)
+				return
+			}
+		case opIndirect:
+			if r := &s.side[op&opPayloadMask]; r.Kind == Compute && uint64(r.Dur)+uint64(d) <= wirePayloadMask {
+				r.Dur += d
+				return
+			}
+		}
+	}
+	s.append(Ref{Kind: Compute, Dur: d})
 }
 
 // stream copies the chunks and the side table into exact-size arrays.
 func (s *pendingStream) stream() Stream {
-	ops := make([]uint64, len(s.full)*chunkOps+len(s.cur))
+	ops := make([]uint32, len(s.full)*chunkOps+len(s.cur))
 	n := 0
 	for _, c := range s.full {
 		n += copy(ops[n:], c)

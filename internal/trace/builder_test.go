@@ -13,7 +13,7 @@ import (
 // twin drives a Builder and a plain per-processor []Ref model of the same
 // record sequence. The model coalesces computes the way Builder.Compute
 // documents: into the previous record when that is an inline Compute and
-// the sum still fits the inline payload.
+// the sum still fits the wire's 61-bit payload.
 type twin struct {
 	b    *Builder
 	refs [][]Ref
@@ -35,7 +35,7 @@ func (w *twin) write(p int, a addrspace.Addr) {
 
 func (w *twin) compute(p int, d engine.Time) {
 	w.b.Compute(p, d)
-	const max = engine.Time(opPayloadMask)
+	const max = engine.Time(wirePayloadMask)
 	rs := w.refs[p]
 	if n := len(rs) - 1; n >= 0 && rs[n].Kind == Compute && rs[n].Dur <= max && rs[n].Dur+d <= max {
 		rs[n].Dur += d
@@ -102,8 +102,14 @@ func TestBuilderMatchesFromRefs(t *testing.T) {
 			w.read(0, wide) // a wide read is op 0 of chunk 3
 			w.pad(0, 3*chunkOps)
 			w.compute(0, engine.Time(opPayloadMask)+9) // a wide compute opens chunk 4
-			w.compute(0, 1)                            // and cannot coalesce with it
-			w.lock(0, 4, 0x3040)                       // six side records: not a growth size
+			w.compute(0, 1)                            // and grows in the side table
+			w.pad(0, 4*chunkOps-1)
+			w.compute(0, engine.Time(opPayloadMask)-1) // the last op of chunk 4
+			w.compute(0, 2)                            // spills when the sum passes 29 bits
+			w.compute(0, engine.Time(wirePayloadMask)) // the sum would pass 61 bits: a new record
+			w.compute(0, 1)                            // nor can this one join it
+			w.lock(0, 4, 0x3040)
+			w.write(0, wide) // nine side records: not a growth size
 		},
 		"several procs and barriers": func(w *twin) {
 			for p := 0; p < 3; p++ {
@@ -142,8 +148,8 @@ func TestBuilderMatchesFromRefs(t *testing.T) {
 					t.Fatalf("proc %d: arrays not exact-size: ops %d/%d, side %d/%d",
 						p, len(st.ops), cap(st.ops), len(st.side), cap(st.side))
 				}
-				if mb := st.MemBytes(); mb != 8*st.Len()+32*len(st.side) {
-					t.Fatalf("proc %d: MemBytes %d, want 8*%d + 32*%d", p, mb, st.Len(), len(st.side))
+				if mb := st.MemBytes(); mb != 4*st.Len()+32*len(st.side) {
+					t.Fatalf("proc %d: MemBytes %d, want 4*%d + 32*%d", p, mb, st.Len(), len(st.side))
 				}
 			}
 		})
@@ -231,13 +237,13 @@ func TestValidateMatchesAtScan(t *testing.T) {
 				})
 			}
 			for j := rng.Intn(6); j > 0; j-- {
-				tag := uint64(rng.Intn(8))
-				pl := uint64(rng.Intn(3))
-				if tag == uint64(Acquire) || tag == uint64(Release) || tag == opIndirect {
+				tag := uint32(rng.Intn(8))
+				pl := uint32(rng.Intn(3))
+				if tag == uint32(Acquire) || tag == uint32(Release) || tag == opIndirect {
 					if len(st.side) == 0 {
 						continue
 					}
-					pl = uint64(rng.Intn(len(st.side)))
+					pl = uint32(rng.Intn(len(st.side)))
 				}
 				st.ops = append(st.ops, tag<<opKindShift|pl)
 			}

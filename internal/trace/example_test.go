@@ -7,7 +7,7 @@ import (
 )
 
 // ExampleStream shows the compact reference-stream encoding: common
-// records (reads, writes, compute) pack into one 64-bit word each, while
+// records (reads, writes, compute) pack into one 32-bit word each, while
 // multi-field records like Acquire spill to a side table — At always
 // reconstructs the original Ref.
 func ExampleStream() {

@@ -5,26 +5,37 @@ import (
 	"repro/internal/engine"
 )
 
-// Stream is one processor's reference stream in compact form: one 64-bit
-// word per record (a 3-bit kind tag and a 61-bit payload) instead of a
+// Stream is one processor's reference stream in compact form: one 32-bit
+// word per record (a 3-bit kind tag and a 29-bit payload) instead of a
 // 32-byte Ref struct. Read/Write carry the address inline, Compute the
 // duration, Barrier/MeasureStart the id; records that need more than one
-// field (Acquire/Release carry both an address and a lock id) spill to a
-// small side table of full Refs. Workload traces are dominated by reads
-// and writes, so the compact form is ~4x smaller than []Ref and scans as
-// a flat uint64 array in the simulator's hot loop.
+// field (Acquire/Release carry both an address and a lock id), or whose
+// payload needs more than 29 bits, spill to a small side table of full
+// Refs. Every generated workload keeps its addresses below 2^25,
+// its computes below 2^14 ns and its barrier ids in the tens, so in
+// practice only locks spill: the compact form is 8x smaller than []Ref
+// and scans as a flat uint32 array in the simulator's hot loop.
+//
+// COMATRC2 (wire.go) carries the same records in 64-bit words with a
+// 61-bit payload; the encoder widens each word and re-inlines the
+// records that spilled only for width.
 type Stream struct {
-	ops  []uint64
+	ops  []uint32
 	side []Ref
+	// wireSide counts the leading side records that a decoded payload
+	// carried in its own side table. The encoder writes them verbatim
+	// and re-inlines only later records, so a decoded trace re-encodes
+	// byte for byte.
+	wireSide int
 }
 
-// Record encoding: kind tag in the top 3 bits, payload in the low 61.
+// Record encoding: kind tag in the top 3 bits, payload in the low 29.
 // Kind values 0..6 are the Ref kinds; tag 7 marks an indirect record
 // whose payload indexes the side table.
 const (
-	opKindShift            = 61
-	opPayloadMask   uint64 = 1<<opKindShift - 1
-	opIndirect      uint64 = 7
+	opKindShift            = 29
+	opPayloadMask   uint32 = 1<<opKindShift - 1
+	opIndirect      uint32 = 7
 	opIndirectShift        = opIndirect << opKindShift
 )
 
@@ -42,7 +53,7 @@ func (s *Stream) At(i int) Ref {
 	case Compute:
 		return Ref{Kind: Compute, Dur: engine.Time(pl)}
 	case Barrier, MeasureStart:
-		return Ref{Kind: k, ID: uint32(pl)}
+		return Ref{Kind: k, ID: pl}
 	default:
 		return s.side[pl]
 	}
@@ -62,32 +73,41 @@ func (s *Stream) Append(r Ref) { s.ops = append(s.ops, pack(r, &s.side)) }
 
 // pack returns r's op word: r itself when it packs inline, otherwise an
 // indirect record pointing at r, which it appends to *side.
-func pack(r Ref, side *[]Ref) uint64 {
-	if op, ok := inlineOp(r); ok {
-		return op
+func pack(r Ref, side *[]Ref) uint32 {
+	if pl, ok := inlinePayload(r); ok && pl <= uint64(opPayloadMask) {
+		return uint32(r.Kind)<<opKindShift | uint32(pl)
 	}
-	*side = append(*side, r)
-	return opIndirectShift | uint64(len(*side)-1)
+	return spill(r, side)
 }
 
-// inlineOp packs r into a single op word when it is in canonical form
-// for its kind (unused fields zero, payload within 61 bits). Refs that
-// don't fit — always Acquire/Release, and any denormal record such as a
-// Read with a stray Dur — go through the side table instead so that
-// At(i) reproduces the original Ref exactly.
-func inlineOp(r Ref) (uint64, bool) {
+// spill appends r to *side and returns the indirect record pointing at it.
+func spill(r Ref, side *[]Ref) uint32 {
+	if len(*side) > int(opPayloadMask) {
+		panic("trace: side table outgrows the 29-bit record index")
+	}
+	*side = append(*side, r)
+	return opIndirectShift | uint32(len(*side)-1)
+}
+
+// inlinePayload returns the payload r would carry in an op word when it
+// is in canonical form for its kind: unused fields zero and a
+// non-negative duration. Refs that aren't — always Acquire/Release, and
+// any denormal record such as a Read with a stray Dur — go through the
+// side table so that At(i) reproduces the original Ref exactly, as does
+// a canonical record whose payload is wider than the word's.
+func inlinePayload(r Ref) (uint64, bool) {
 	switch r.Kind {
 	case Read, Write:
-		if r.ID == 0 && r.Dur == 0 && uint64(r.Addr) <= opPayloadMask {
-			return uint64(r.Kind)<<opKindShift | uint64(r.Addr), true
+		if r.ID == 0 && r.Dur == 0 {
+			return uint64(r.Addr), true
 		}
 	case Compute:
-		if r.ID == 0 && r.Addr == 0 && r.Dur >= 0 && uint64(r.Dur) <= opPayloadMask {
-			return uint64(Compute)<<opKindShift | uint64(r.Dur), true
+		if r.ID == 0 && r.Addr == 0 && r.Dur >= 0 {
+			return uint64(r.Dur), true
 		}
 	case Barrier, MeasureStart:
 		if r.Addr == 0 && r.Dur == 0 {
-			return uint64(r.Kind)<<opKindShift | uint64(r.ID), true
+			return uint64(r.ID), true
 		}
 	}
 	return 0, false
@@ -106,13 +126,13 @@ func (s *Stream) Refs() []Ref {
 // MemBytes is the approximate heap footprint of the stream's backing
 // arrays, for cache-size accounting.
 func (s *Stream) MemBytes() int {
-	return 8*cap(s.ops) + 32*cap(s.side)
+	return 4*cap(s.ops) + 32*cap(s.side)
 }
 
 // grow preallocates capacity for n more records.
 func (s *Stream) grow(n int) {
 	if need := len(s.ops) + n; need > cap(s.ops) {
-		ops := make([]uint64, len(s.ops), need)
+		ops := make([]uint32, len(s.ops), need)
 		copy(ops, s.ops)
 		s.ops = ops
 	}

@@ -9,10 +9,10 @@ import (
 )
 
 // Compact wire format ("COMATRC2"): the struct-of-arrays Stream encoding
-// serialized verbatim, so a trace round-trips bytes → Trace → bytes
-// without re-encoding any record. It is the only trace serialization:
-// POST /v1/traces ingests it, cmd/tracedump -save writes it, and
-// TRACES.md specifies it normatively.
+// with every op word widened to 64 bits, so a trace round-trips bytes →
+// Trace → bytes exactly. It is the only trace serialization: POST
+// /v1/traces ingests it, cmd/tracedump -save writes it, and TRACES.md
+// specifies it normatively.
 //
 // Layout (little endian throughout):
 //
@@ -26,14 +26,19 @@ import (
 //	  sideLen × side record: kind u8 | addr u64 | id u32 | dur i64 (21 B)
 //	(no trailing bytes)
 //
-// An op word carries a 3-bit kind tag in bits 63..61 and a 61-bit
-// payload in bits 60..0. Tags 0 (Read) and 1 (Write) carry the address,
-// 2 (Compute) the duration in nanoseconds, 5 (Barrier) and 6
-// (MeasureStart) the barrier id; tag 7 marks an indirect record whose
+// An op word carries the in-memory word's 3-bit kind tag in bits 63..61
+// and a 61-bit payload in bits 60..0. Tags 0 (Read) and 1 (Write) carry
+// the address, 2 (Compute) the duration in nanoseconds, 5 (Barrier) and
+// 6 (MeasureStart) the barrier id; tag 7 marks an indirect record whose
 // payload indexes the stream's side table. Acquire (3) and Release (4)
 // never appear inline — they need both an address and a lock id, so
 // they always spill to the side table, as does any record whose fields
-// exceed the inline payload.
+// exceed the 61-bit payload.
+//
+// A record whose payload fits 61 bits but not the in-memory word's 29
+// sits in a Stream's side table. The encoder writes it back inline, so
+// the wire never shows that spill; the decoder appends it after the
+// payload's own side records, which it keeps verbatim.
 const CompactMagic = "COMATRC2"
 
 // Decoder hardening limits. The working-set bound keeps derived machine
@@ -47,8 +52,17 @@ const (
 
 const sideRecordBytes = 1 + 8 + 4 + 8 // kind u8 | addr u64 | id u32 | dur i64
 
-// EncodeCompact serializes the trace into the COMATRC2 wire form. The
-// stream arrays are written verbatim, so EncodeCompact(DecodeCompact(b))
+// Wire op words: the in-memory kind tag over a 61-bit payload.
+const (
+	wireKindShift          = 61
+	wirePayloadMask uint64 = 1<<wireKindShift - 1
+)
+
+// EncodeCompact serializes the trace into the COMATRC2 wire form. Every
+// op word widens to 64 bits, and a side record that spilled only because
+// its payload needs more than 29 bits goes back inline, so the bytes are
+// what 8-byte words packed the same way would hold. A decoded payload's
+// own side records are written verbatim, so EncodeCompact(DecodeCompact(b))
 // reproduces b byte for byte.
 func (t *Trace) EncodeCompact() []byte {
 	n := len(CompactMagic) + 4 + len(t.Name) + 4 + 8
@@ -64,12 +78,20 @@ func (t *Trace) EncodeCompact() []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, t.WorkingSet)
 	for i := range t.Streams {
 		st := &t.Streams[i]
+		slots, kept := st.wireSlots()
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st.ops)))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st.side)))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(kept))
 		for _, op := range st.ops {
-			buf = binary.LittleEndian.AppendUint64(buf, op)
+			w := uint64(op>>opKindShift)<<wireKindShift | uint64(op&opPayloadMask)
+			if op >= opIndirectShift {
+				w = slots[op&opPayloadMask]
+			}
+			buf = binary.LittleEndian.AppendUint64(buf, w)
 		}
-		for _, r := range st.side {
+		for j, r := range st.side {
+			if slots[j]>>wireKindShift != uint64(opIndirect) {
+				continue
+			}
 			buf = append(buf, byte(r.Kind))
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Addr))
 			buf = binary.LittleEndian.AppendUint32(buf, r.ID)
@@ -77,6 +99,27 @@ func (t *Trace) EncodeCompact() []byte {
 		}
 	}
 	return buf
+}
+
+// wireSlots returns, for each of the stream's side records, the wire op
+// word that stands for it, and how many records stay in the wire's side
+// table. A record past the decoded payload's own side records that fits
+// the 61-bit payload is its inline word; every other record keeps a
+// side slot, renumbered in order over the records that stay.
+func (s *Stream) wireSlots() (slots []uint64, kept int) {
+	if len(s.side) == 0 {
+		return nil, 0
+	}
+	slots = make([]uint64, len(s.side))
+	for j, r := range s.side {
+		if pl, ok := inlinePayload(r); ok && j >= s.wireSide && pl <= wirePayloadMask {
+			slots[j] = uint64(r.Kind)<<wireKindShift | pl
+			continue
+		}
+		slots[j] = uint64(opIndirect)<<wireKindShift | uint64(kept)
+		kept++
+	}
+	return slots, kept
 }
 
 // wireReader is a bounds-checked cursor over untrusted input. Every read
@@ -176,35 +219,55 @@ func DecodeCompact(data []byte) (*Trace, error) {
 		if uint64(r.remaining()) < need {
 			return nil, fmt.Errorf("trace: proc %d: stream claims %d bytes, %d remain", p, need, r.remaining())
 		}
-		st := &t.Streams[p]
-		st.ops = make([]uint64, opsLen)
-		for i := range st.ops {
-			op, err := r.u64()
-			if err != nil {
-				return nil, err
-			}
+		// The op words are validated before anything is allocated for
+		// them. A word whose payload is too wide for the 29-bit in-memory
+		// word spills to the side table after the payload's own records,
+		// so counting those first sizes the table exactly.
+		opBytes, err := r.take(8 * int(opsLen))
+		if err != nil {
+			return nil, err
+		}
+		wide := 0
+		for i := 0; i < int(opsLen); i++ {
+			op := binary.LittleEndian.Uint64(opBytes[8*i:])
 			if err := checkOpWord(op, sideLen); err != nil {
 				return nil, fmt.Errorf("trace: proc %d op %d: %w", p, i, err)
 			}
-			st.ops[i] = op
+			if wideOp(op) {
+				wide++
+			}
 		}
-		if sideLen > 0 {
-			st.side = make([]Ref, sideLen)
-			for i := range st.side {
-				b, err := r.take(sideRecordBytes)
-				if err != nil {
-					return nil, err
-				}
-				kind := Kind(b[0])
-				if kind > MeasureStart {
-					return nil, fmt.Errorf("trace: proc %d side %d: unknown kind %d", p, i, b[0])
-				}
-				st.side[i] = Ref{
-					Kind: kind,
-					Addr: addrspace.Addr(binary.LittleEndian.Uint64(b[1:])),
-					ID:   binary.LittleEndian.Uint32(b[9:]),
-					Dur:  engine.Time(int64(binary.LittleEndian.Uint64(b[13:]))),
-				}
+		if n := uint64(sideLen) + uint64(wide); n > uint64(opPayloadMask)+1 {
+			return nil, fmt.Errorf("trace: proc %d: %d side records overflow the 29-bit side index", p, n)
+		}
+		st := &t.Streams[p]
+		st.ops = make([]uint32, opsLen)
+		if n := int(sideLen) + wide; n > 0 {
+			st.side = make([]Ref, sideLen, n)
+			st.wireSide = int(sideLen)
+		}
+		for i := range st.ops {
+			op := binary.LittleEndian.Uint64(opBytes[8*i:])
+			if wideOp(op) {
+				st.ops[i] = spill(inlineRef(Kind(op>>wireKindShift), op&wirePayloadMask), &st.side)
+				continue
+			}
+			st.ops[i] = uint32(op>>wireKindShift)<<opKindShift | uint32(op&wirePayloadMask)
+		}
+		for i := range st.side[:sideLen] {
+			b, err := r.take(sideRecordBytes)
+			if err != nil {
+				return nil, err
+			}
+			kind := Kind(b[0])
+			if kind > MeasureStart {
+				return nil, fmt.Errorf("trace: proc %d side %d: unknown kind %d", p, i, b[0])
+			}
+			st.side[i] = Ref{
+				Kind: kind,
+				Addr: addrspace.Addr(binary.LittleEndian.Uint64(b[1:])),
+				ID:   binary.LittleEndian.Uint32(b[9:]),
+				Dur:  engine.Time(int64(binary.LittleEndian.Uint64(b[13:]))),
 			}
 		}
 	}
@@ -225,8 +288,8 @@ func DecodeCompact(data []byte) (*Trace, error) {
 // spill), barrier ids fit their uint32 field, and indirect payloads index
 // inside the side table.
 func checkOpWord(op uint64, sideLen uint32) error {
-	pl := op & opPayloadMask
-	switch tag := op >> opKindShift; tag {
+	pl := op & wirePayloadMask
+	switch tag := op >> wireKindShift; tag {
 	case uint64(Read), uint64(Write), uint64(Compute):
 		return nil
 	case uint64(Barrier), uint64(MeasureStart):
@@ -234,13 +297,32 @@ func checkOpWord(op uint64, sideLen uint32) error {
 			return fmt.Errorf("barrier id %d overflows uint32", pl)
 		}
 		return nil
-	case opIndirect:
+	case uint64(opIndirect):
 		if pl >= uint64(sideLen) {
 			return fmt.Errorf("indirect payload %d outside side table of %d", pl, sideLen)
 		}
 		return nil
 	default: // Acquire/Release inline
 		return fmt.Errorf("kind %s must spill to the side table", Kind(tag))
+	}
+}
+
+// wideOp reports whether wire word op is an inline record whose payload
+// is too wide for the 29-bit in-memory word.
+func wideOp(op uint64) bool {
+	return op>>wireKindShift != uint64(opIndirect) && op&wirePayloadMask > uint64(opPayloadMask)
+}
+
+// inlineRef is the record an inline op word of kind k with payload pl
+// stands for.
+func inlineRef(k Kind, pl uint64) Ref {
+	switch k {
+	case Read, Write:
+		return Ref{Kind: k, Addr: addrspace.Addr(pl)}
+	case Compute:
+		return Ref{Kind: Compute, Dur: engine.Time(pl)}
+	default:
+		return Ref{Kind: k, ID: uint32(pl)}
 	}
 }
 

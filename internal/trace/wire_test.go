@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -109,51 +110,41 @@ func TestDecodeCompactRejects(t *testing.T) {
 }
 
 // TestDecodeCompactRejectsBadOps corrupts individual op words and side
-// records, the cases where a naive decoder would panic later in
-// Stream.At or the machine's sync handlers.
+// records of an encoded trace, the cases where a naive decoder would
+// panic later in Stream.At or the machine's sync handlers.
 func TestDecodeCompactRejectsBadOps(t *testing.T) {
-	mk := func(mut func(tr *Trace)) []byte {
-		tr := wireSample()
-		mut(tr)
-		return tr.EncodeCompact()
+	enc := wireSample().EncodeCompact()
+	// Proc 0's stream: its two counts, its ops (write, compute, barrier,
+	// measure-start, read, acquire, write, release, compute, barrier),
+	// then its side table (the acquire and the release).
+	s0 := len(CompactMagic) + 4 + len("wire-sample") + 4 + 8
+	ops := int(binary.LittleEndian.Uint32(enc[s0:]))
+	side := func(j int) int { return s0 + 8 + 8*ops + sideRecordBytes*j }
+	withOp := func(i int, k Kind, pl uint64) []byte {
+		out := append([]byte(nil), enc...)
+		copy(out[s0+8+8*i:], wireOp(k, pl))
+		return out
 	}
+	// Proc 0's acquire and release side records, swapped.
+	swapped := append([]byte(nil), enc...)
+	copy(swapped[side(0):side(1)], enc[side(1):side(2)])
+	copy(swapped[side(1):side(2)], enc[side(0):side(1)])
 	cases := []struct {
 		name string
 		data []byte
 		want string
 	}{
-		{"inline acquire", mk(func(tr *Trace) {
-			tr.Streams[0].ops[0] = uint64(Acquire)<<opKindShift | 0x3000
-		}), "must spill"},
-		{"inline release", mk(func(tr *Trace) {
-			tr.Streams[0].ops[0] = uint64(Release)<<opKindShift | 0x3000
-		}), "must spill"},
-		{"indirect out of range", mk(func(tr *Trace) {
-			tr.Streams[0].ops[0] = opIndirectShift | 99
-		}), "outside side table"},
-		{"barrier id overflow", mk(func(tr *Trace) {
-			tr.Streams[0].ops[0] = uint64(Barrier)<<opKindShift | 1<<40
-		}), "overflows uint32"},
-		{"bad side kind", mk(func(tr *Trace) {
-			tr.Streams[0].side[0].Kind = 200
-		}), "unknown kind"},
-		{"zero address read", mk(func(tr *Trace) {
-			tr.Streams[0].ops[0] = uint64(Read) << opKindShift
-		}), "zero address"},
-		{"double measure start", mk(func(tr *Trace) {
-			tr.Streams[0].ops[0] = uint64(MeasureStart) << opKindShift
-		}), "MeasureStart"},
-		{"release without acquire", mk(func(tr *Trace) {
-			// Swap proc 0's acquire/release side records.
-			tr.Streams[0].side[0], tr.Streams[0].side[1] = tr.Streams[0].side[1], tr.Streams[0].side[0]
-		}), "does not hold"},
-		{"mismatched barriers", mk(func(tr *Trace) {
-			tr.Streams[0].ops[2] = uint64(Barrier)<<opKindShift | 7
-		}), "barrier record"},
-		{"ends holding lock", mk(func(tr *Trace) {
-			// Turn proc 0's release into a read so the acquire dangles.
-			tr.Streams[0].side[1] = Ref{Kind: Read, Addr: 0x3000}
-		}), "ends holding"},
+		{"inline acquire", withOp(0, Acquire, 0x3000), "must spill"},
+		{"inline release", withOp(0, Release, 0x3000), "must spill"},
+		{"indirect out of range", withOp(0, Kind(opIndirect), 99), "outside side table"},
+		{"barrier id overflow", withOp(0, Barrier, 1<<40), "overflows uint32"},
+		{"bad side kind", corrupt(enc, side(0), 200), "unknown kind"},
+		{"zero address read", withOp(0, Read, 0), "zero address"},
+		{"double measure start", withOp(0, MeasureStart, 0), "MeasureStart"},
+		{"release without acquire", swapped, "does not hold"},
+		{"mismatched barriers", withOp(2, Barrier, 7), "barrier record"},
+		// Turn proc 0's release into a read so the acquire dangles.
+		{"ends holding lock", corrupt(enc, side(1), byte(Read)), "ends holding"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -166,6 +157,136 @@ func TestDecodeCompactRejectsBadOps(t *testing.T) {
 			}
 		})
 	}
+}
+
+// wideSample is a trace with a payload of every kind that is too wide for
+// the 29-bit in-memory word but fits the wire's 61 bits — an address,
+// a compute (one coalesced across 2^29, one coalesced into a spilled
+// record) and a barrier id — plus a lock pair, built through Builder.
+func wideSample() *Trace {
+	b := NewBuilder("wide", 2)
+	b.MeasureStart()
+	b.Read(0, 1<<29)
+	b.Compute(0, 1<<29+5)
+	b.Compute(0, 2) // grows the spilled compute
+	b.Acquire(0, 9, 0x3000)
+	b.Release(0, 9, 0x3000)
+	b.Write(1, 1<<40)
+	b.Compute(1, 1<<29-1)
+	b.Compute(1, 1) // the sum no longer fits 29 bits
+	b.barrierID = 1<<29 + 3
+	b.Barrier()
+	b.Read(0, 64)
+	return b.Build(addrspace.PageSize)
+}
+
+// wideRefs is wideSample's record sequence in boxed form.
+var wideRefs = [][]Ref{
+	{
+		{Kind: MeasureStart},
+		{Kind: Read, Addr: 1 << 29},
+		{Kind: Compute, Dur: 1<<29 + 7},
+		{Kind: Acquire, Addr: 0x3000, ID: 9},
+		{Kind: Release, Addr: 0x3000, ID: 9},
+		{Kind: Barrier, ID: 1<<29 + 3},
+		{Kind: Read, Addr: 64},
+	},
+	{
+		{Kind: MeasureStart},
+		{Kind: Write, Addr: 1 << 40},
+		{Kind: Compute, Dur: 1 << 29},
+		{Kind: Barrier, ID: 1<<29 + 3},
+	},
+}
+
+// le32, le64, wireOp and sideRecord spell out COMATRC2 fields as
+// TRACES.md lays them out.
+func le32(v uint32) []byte { return binary.LittleEndian.AppendUint32(nil, v) }
+func le64(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+
+func wireOp(k Kind, pl uint64) []byte { return le64(uint64(k)<<wireKindShift | pl) }
+
+func sideRecord(r Ref) []byte {
+	b := append([]byte{byte(r.Kind)}, le64(uint64(r.Addr))...)
+	return append(append(b, le32(r.ID)...), le64(uint64(r.Dur))...)
+}
+
+// wireHeader is a payload's header up to its first stream.
+func wireHeader(name string, procs uint32) []byte {
+	return bytes.Join([][]byte{[]byte(CompactMagic), le32(uint32(len(name))), []byte(name),
+		le32(procs), le64(addrspace.PageSize)}, nil)
+}
+
+// payloadSideSample is a payload whose own side table holds records an
+// encoder would have put inline, one of them too wide for the in-memory
+// word, and whose ops include an inline wide word that spills on decode.
+func payloadSideSample() []byte {
+	return bytes.Join([][]byte{
+		wireHeader("side", 1),
+		le32(5), le32(2),
+		wireOp(MeasureStart, 0), wireOp(Kind(opIndirect), 0), wireOp(Write, 1<<40),
+		wireOp(Kind(opIndirect), 1), wireOp(Read, 64),
+		sideRecord(Ref{Kind: Read, Addr: 1 << 29}), sideRecord(Ref{Kind: Compute, Dur: 5}),
+	}, nil)
+}
+
+// TestWidePayloadsRoundTrip: records too wide for the in-memory word
+// still encode inline in 8-byte wire words, with only the locks in the
+// side table, whether the trace came from Builder or FromRefs; decoding
+// and re-encoding reproduces the bytes and the records. A payload's own
+// side records also come back verbatim, even ones an encoder would have
+// inlined, with the decoder's spills kept apart from them.
+func TestWidePayloadsRoundTrip(t *testing.T) {
+	lock := func(k Kind) []byte { return sideRecord(Ref{Kind: k, Addr: 0x3000, ID: 9}) }
+	want := bytes.Join([][]byte{
+		wireHeader("wide", 2),
+		le32(7), le32(2),
+		wireOp(MeasureStart, 0), wireOp(Read, 1<<29), wireOp(Compute, 1<<29+7),
+		wireOp(Kind(opIndirect), 0), wireOp(Kind(opIndirect), 1),
+		wireOp(Barrier, 1<<29+3), wireOp(Read, 64),
+		lock(Acquire), lock(Release),
+		le32(4), le32(0),
+		wireOp(MeasureStart, 0), wireOp(Write, 1<<40), wireOp(Compute, 1<<29), wireOp(Barrier, 1<<29+3),
+	}, nil)
+	for name, tr := range map[string]*Trace{
+		"builder":  wideSample(),
+		"FromRefs": FromRefs("wide", addrspace.PageSize, wideRefs),
+	} {
+		t.Run(name, func(t *testing.T) {
+			enc := tr.EncodeCompact()
+			if !bytes.Equal(enc, want) {
+				t.Fatalf("encoding differs from the 61-bit wire form:\n got %x\nwant %x", enc, want)
+			}
+			got, err := DecodeCompact(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.EncodeCompact(), enc) {
+				t.Fatal("re-encode differs from the decoded bytes")
+			}
+			for p := range wideRefs {
+				if !reflect.DeepEqual(got.Streams[p].Refs(), wideRefs[p]) || !reflect.DeepEqual(tr.Streams[p].Refs(), wideRefs[p]) {
+					t.Fatalf("proc %d: records %+v, decoded %+v, want %+v",
+						p, tr.Streams[p].Refs(), got.Streams[p].Refs(), wideRefs[p])
+				}
+			}
+		})
+	}
+	t.Run("payload side table", func(t *testing.T) {
+		data := payloadSideSample()
+		got, err := DecodeCompact(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.EncodeCompact(), data) {
+			t.Fatalf("re-encode differs from the decoded bytes:\n got %x\nwant %x", got.EncodeCompact(), data)
+		}
+		refs := []Ref{{Kind: MeasureStart}, {Kind: Read, Addr: 1 << 29}, {Kind: Write, Addr: 1 << 40},
+			{Kind: Compute, Dur: 5}, {Kind: Read, Addr: 64}}
+		if !reflect.DeepEqual(got.Streams[0].Refs(), refs) {
+			t.Fatalf("records %+v, want %+v", got.Streams[0].Refs(), refs)
+		}
+	})
 }
 
 // TestValidateSyncAcceptsBuilderTraces pins the guarantee ValidateSync's
@@ -186,6 +307,8 @@ func FuzzStreamDecode(f *testing.F) {
 	sample := wireSample().EncodeCompact()
 	f.Add(sample)
 	f.Add(sample[:len(sample)-3])
+	f.Add(wideSample().EncodeCompact())
+	f.Add(payloadSideSample())
 	// A header claiming a huge op count with no backing bytes.
 	huge := append([]byte(CompactMagic), make([]byte, 32)...)
 	binary.LittleEndian.PutUint32(huge[8:], 0)     // empty name
