@@ -30,11 +30,14 @@ func busRingPair(ppn int, mp config.Pressure) (config.Machine, config.Machine) {
 
 // All 14 workloads, simulated at the paper's hardest pressure point,
 // produce identical reference counts, miss classifications and protocol
-// counter totals on the bus and on the degenerate ring.
+// counter totals on the bus and on the degenerate ring. The runs go one
+// at a time, so the test runs in parallel with the other one-worker
+// tests.
 func TestRingBusEquivalenceAllWorkloads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload matrix in -short mode")
 	}
+	t.Parallel()
 	r := NewRunner()
 	r.Procs = 8
 	busCfg, ringCfg := busRingPair(2, config.MP87)
@@ -86,11 +89,13 @@ func ring64Cfgs() []config.Machine {
 // set of a 64-processor ring matrix is deep-equal between a sequential
 // runner and an 8-worker runner. The ring fabric claims many resources
 // (cluster buses, links, directories) per transaction, so any
-// order-dependence in its accounting would surface here.
+// order-dependence in its accounting would surface here. Like the other
+// one-worker tests, it runs in parallel.
 func TestRing64JobsDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("64-processor matrix in -short mode")
 	}
+	t.Parallel()
 	apps := []string{"fft", "radix", "water-n2"}
 	cfgs := ring64Cfgs()
 	run := func(jobs int) []InspectRow {
@@ -134,5 +139,5 @@ func TestGoldenFigure2Scaled(t *testing.T) {
 	if err := f.Write(&sb); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "figure2scaled.golden", sb.String())
+	checkGolden(t, "testdata/figure2scaled.golden", sb.String())
 }

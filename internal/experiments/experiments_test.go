@@ -17,7 +17,7 @@ func TestFigure2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure in -short mode")
 	}
-	r := NewRunner()
+	r := paperRunner()
 	f, err := r.Figure2()
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestTrafficFigureShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure in -short mode")
 	}
-	r := NewRunner()
+	r := paperRunner()
 	f, err := r.Figure3()
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestFigure4EightWayBars(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure in -short mode")
 	}
-	r := NewRunner()
+	r := paperRunner()
 	f, err := r.Figure4()
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestFigure4EightWayBars(t *testing.T) {
 }
 
 func TestTable1(t *testing.T) {
-	r := NewRunner()
+	r := paperRunner()
 	rows, err := r.Table1()
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +165,7 @@ func TestFigure5Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure in -short mode")
 	}
-	r := NewRunner()
+	r := paperRunner()
 	f, err := r.Figure5()
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func TestSensitivityNodeShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full study in -short mode")
 	}
-	r := NewRunner()
+	r := paperRunner()
 	s, err := r.SensitivityNode()
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +241,7 @@ func TestSensitivityBusShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full study in -short mode")
 	}
-	r := NewRunner()
+	r := paperRunner()
 	ss, err := r.SensitivityBus()
 	if err != nil {
 		t.Fatal(err)

@@ -95,7 +95,7 @@ func TestGoldenFidelity(t *testing.T) {
 		}
 		fmt.Fprintln(&sb)
 	}
-	checkGolden(t, "fidelity.golden", sb.String())
+	checkGolden(t, "testdata/fidelity.golden", sb.String())
 }
 
 // TestFidelityJobsInvariance asserts sampled-mode results are

@@ -23,19 +23,18 @@ func TestGoldenFigure2Irregular(t *testing.T) {
 	if err := f.Write(&sb); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "figure2irregular.golden", sb.String())
+	checkGolden(t, "testdata/figure2irregular.golden", sb.String())
 }
 
 // The study is byte-identical for any worker count, like every other
-// artifact (the -jobs invariance contract).
+// artifact (the -jobs invariance contract): a fresh one-worker runner
+// renders what golden8's eight workers do.
 func TestFigure2IrregularJobsDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("irregular matrix twice in -short mode")
 	}
-	run := func(jobs int) string {
-		r := NewRunner()
-		r.Procs = 8
-		r.Jobs = jobs
+	t.Parallel()
+	render := func(r *Runner) string {
 		f, err := r.Figure2Irregular()
 		if err != nil {
 			t.Fatal(err)
@@ -46,7 +45,7 @@ func TestFigure2IrregularJobsDeterminism(t *testing.T) {
 		}
 		return sb.String()
 	}
-	if run(1) != run(8) {
+	if render(runner8(1)) != render(golden8()) {
 		t.Fatal("fig2irregular differs between -jobs 1 and -jobs 8")
 	}
 }

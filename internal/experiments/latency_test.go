@@ -12,7 +12,7 @@ func TestLatencyStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full study in -short mode")
 	}
-	r := NewRunner()
+	r := paperRunner()
 	rows, err := r.Latency()
 	if err != nil {
 		t.Fatal(err)

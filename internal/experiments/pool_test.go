@@ -25,16 +25,21 @@ func runner8(jobs int) *Runner {
 
 // Determinism under parallelism: the same study must produce deeply-equal
 // results whether the matrix runs on one worker or eight — aggregation is
-// post-barrier in registry order, never completion order.
+// post-barrier in registry order, never completion order. A fresh
+// one-worker runner is compared with paperRunner's eight; it leaves the
+// host's other CPUs idle, so these tests run in parallel.
 func TestFigure2DeterministicAcrossJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure in -short mode")
 	}
-	seq, err := runner8(1).Figure2()
+	t.Parallel()
+	r := NewRunner()
+	r.Jobs = 1
+	seq, err := r.Figure2()
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := runner8(8).Figure2()
+	par, err := paperRunner().Figure2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +52,14 @@ func TestSensitivityNodeDeterministicAcrossJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full study in -short mode")
 	}
-	seq, err := runner8(1).SensitivityNode()
+	t.Parallel()
+	r := NewRunner()
+	r.Jobs = 1
+	seq, err := r.SensitivityNode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := runner8(8).SensitivityNode()
+	par, err := paperRunner().SensitivityNode()
 	if err != nil {
 		t.Fatal(err)
 	}

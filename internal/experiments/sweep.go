@@ -17,8 +17,6 @@ type SweepSpec struct {
 	Pressures    []config.Pressure
 	AMWays       []int
 	DRAM         []float64
-	NC           []float64
-	Bus          []float64
 
 	// Topology applies one interconnect to every point: "" or "bus" is
 	// the snooping bus, "ring" the ring of clusters. Ring geometry and
@@ -48,12 +46,6 @@ func (s SweepSpec) normalize() SweepSpec {
 	if len(s.DRAM) == 0 {
 		s.DRAM = []float64{1}
 	}
-	if len(s.NC) == 0 {
-		s.NC = []float64{1}
-	}
-	if len(s.Bus) == 0 {
-		s.Bus = []float64{1}
-	}
 	return s
 }
 
@@ -61,7 +53,7 @@ func (s SweepSpec) normalize() SweepSpec {
 func (s SweepSpec) Points() int {
 	s = s.normalize()
 	return len(s.Apps) * len(s.ProcsPerNode) * len(s.Pressures) *
-		len(s.AMWays) * len(s.DRAM) * len(s.NC) * len(s.Bus)
+		len(s.AMWays) * len(s.DRAM)
 }
 
 // SweepRow is one measured point.
@@ -91,35 +83,29 @@ func (r *Runner) Sweep(spec SweepSpec) ([]SweepRow, error) {
 			for _, mp := range spec.Pressures {
 				for _, ways := range spec.AMWays {
 					for _, dram := range spec.DRAM {
-						for _, nc := range spec.NC {
-							for _, bus := range spec.Bus {
-								cfg := config.Baseline(ppn, mp)
-								cfg.AMWays = ways
-								cfg.DRAMBandwidth = dram
-								cfg.NCBandwidth = nc
-								cfg.BusBandwidth = bus
-								cfg.Topology = spec.Topology
-								cfg.Clusters = spec.Clusters
-								cfg.LinkLatencyNs = spec.LinkLatencyNs
-								cfg.ScalePressure = spec.ScalePressure
-								topo := spec.Topology
-								if topo == "" {
-									topo = "bus"
-								}
-								jobs = append(jobs, job{app, cfg})
-								rows = append(rows, SweepRow{
-									App:          app,
-									ProcsPerNode: ppn,
-									MP:           mp.Label,
-									AMWays:       ways,
-									DRAM:         dram,
-									NC:           nc,
-									Bus:          bus,
-									Topology:     topo,
-									Clusters:     cfg.Clusters,
-								})
-							}
+						cfg := config.Baseline(ppn, mp)
+						cfg.AMWays = ways
+						cfg.DRAMBandwidth = dram
+						cfg.Topology = spec.Topology
+						cfg.Clusters = spec.Clusters
+						cfg.LinkLatencyNs = spec.LinkLatencyNs
+						cfg.ScalePressure = spec.ScalePressure
+						topo := spec.Topology
+						if topo == "" {
+							topo = "bus"
 						}
+						jobs = append(jobs, job{app, cfg})
+						rows = append(rows, SweepRow{
+							App:          app,
+							ProcsPerNode: ppn,
+							MP:           mp.Label,
+							AMWays:       ways,
+							DRAM:         dram,
+							NC:           cfg.NCBandwidth,
+							Bus:          cfg.BusBandwidth,
+							Topology:     topo,
+							Clusters:     cfg.Clusters,
+						})
 					}
 				}
 			}

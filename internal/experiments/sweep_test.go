@@ -9,7 +9,7 @@ import (
 
 func TestSweepSpecDefaults(t *testing.T) {
 	var s SweepSpec
-	if got := s.Points(); got != 14*3*5*1*1*1*1 {
+	if got := s.Points(); got != 14*3*5*1*1 {
 		t.Fatalf("default points = %d", got)
 	}
 	s = SweepSpec{Apps: []string{"fft"}, ProcsPerNode: []int{1},

@@ -32,7 +32,7 @@ func TestGoldenTimeline(t *testing.T) {
 	if err := WriteTimelineCSV(&sb, rows); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "timeline.golden", sb.String())
+	checkGolden(t, "testdata/timeline.golden", sb.String())
 }
 
 func TestSparkline(t *testing.T) {

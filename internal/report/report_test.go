@@ -8,8 +8,8 @@ import (
 	"repro/internal/experiments"
 )
 
-// Rendering smoke test on hand-built data (the full Collect path is
-// exercised by TestCollectAndRender below).
+// Rendering smoke test on hand-built data. The full Collect path is pinned
+// byte for byte by experiments' TestCommittedResults (results/report.html).
 func TestRenderSynthetic(t *testing.T) {
 	d := &Data{
 		Table1: []experiments.Table1Row{{App: "fft", PaperProblem: "1M", OurProblem: "4096", OurWSKB: 192, Reads: 10, Writes: 5}},
@@ -43,30 +43,5 @@ func TestRenderSynthetic(t *testing.T) {
 	}
 	if strings.Contains(html, "ZgotmplZ") {
 		t.Error("template escaped the SVG payload")
-	}
-}
-
-// Full pipeline: collect everything and render (slow; relies on runner
-// memoization when run alongside the other experiment tests).
-func TestCollectAndRender(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full collection in -short mode")
-	}
-	r := experiments.NewRunner()
-	d, err := Collect(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := Render(&sb, d); err != nil {
-		t.Fatal(err)
-	}
-	if len(sb.String()) < 10_000 {
-		t.Fatalf("suspiciously small report (%d bytes)", len(sb.String()))
-	}
-	for _, app := range experiments.Apps() {
-		if !strings.Contains(sb.String(), app) {
-			t.Errorf("report missing application %s", app)
-		}
 	}
 }
