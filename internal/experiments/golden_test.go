@@ -3,6 +3,7 @@ package experiments
 import (
 	"flag"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -11,7 +12,10 @@ import (
 // The paper's own results — Table 1, Figures 2-5, the §4.2 thresholds,
 // the §4.3 sensitivity studies, the latency study, the HTML report and a
 // sample sweep, all on its 16-processor machine — are pinned byte for
-// byte by TestCommittedResults against the files under results/.
+// byte by TestCommittedResults against the files under results/. The
+// TestGoldenFigure2-5 and TestGoldenSensitivity tests below check each
+// study's sections of those files on their own, so a drift names every
+// study it touches where the whole-file check stops at its first line.
 //
 // The golden files under testdata/ pin what results/ does not cover:
 // figure2irregular (the extra workload families, on golden8), the
@@ -27,6 +31,9 @@ import (
 // are stable per platform (libm rounding could in principle drift across
 // CPU architectures; CI and the goldens are both amd64).
 var update = flag.Bool("update", false, "rewrite golden files in testdata/ and results/")
+
+// resultsDir holds the committed outputs results/README.md describes.
+const resultsDir = "../../results"
 
 // paperRunner is the paper's 16-processor machine, shared by every test
 // that simulates one of its studies, so each (app, config) simulates
@@ -86,5 +93,69 @@ func firstDiff(got, want string) (n int, g, w string) {
 		if i >= len(gl) || i >= len(wl) || gl[i] != wl[i] {
 			return i + 1, line(gl, i), line(wl, i)
 		}
+	}
+}
+
+// checkResultsSection renders artifact on the shared paper runner and
+// compares it with the section of results/<file> that begins with the
+// same heading line, reporting the file's first differing line. Under
+// -update it skips: TestCommittedResults rewrites the files whole.
+func checkResultsSection(t *testing.T, file, artifact string, chart bool) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("golden regeneration in -short mode")
+	}
+	if *update {
+		t.Skip("TestCommittedResults rewrites results/")
+	}
+	var sb strings.Builder
+	if err := RenderArtifact(&sb, paperRunner(), artifact, chart); err != nil {
+		t.Fatal(err)
+	}
+	got := sb.String()
+	raw, err := os.ReadFile(filepath.Join(resultsDir, file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := "\n" + string(raw)
+	heading, _, _ := strings.Cut(got, "\n")
+	i := strings.Index(committed, "\n"+heading+"\n")
+	if i < 0 {
+		t.Errorf("results/%s has no %s section headed %q", file, artifact, heading)
+		return
+	}
+	i++ // the section starts after the newline
+	want := committed[i:min(len(committed), i+len(got))]
+	if got != want {
+		n, g, w := firstDiff(got, want)
+		t.Errorf("results/%s: the %s section differs from its regeneration at line %d:\n got: %s\nwant: %s\nIf the change is intended, rerun TestCommittedResults with -update and review the diff.",
+			file, artifact, strings.Count(committed[:i], "\n")+n-1, g, w)
+	}
+}
+
+func TestGoldenFigure2(t *testing.T) {
+	checkResultsSection(t, "experiments.txt", "fig2", false)
+}
+
+func TestGoldenFigure3(t *testing.T) {
+	checkResultsSection(t, "experiments.txt", "fig3", false)
+	checkResultsSection(t, "figure3-chart.txt", "fig3", true)
+}
+
+func TestGoldenFigure4(t *testing.T) {
+	checkResultsSection(t, "experiments.txt", "fig4", false)
+	checkResultsSection(t, "figure4-chart.txt", "fig4", true)
+}
+
+func TestGoldenFigure5(t *testing.T) {
+	checkResultsSection(t, "experiments.txt", "fig5", false)
+	checkResultsSection(t, "figure5-chart.txt", "fig5", true)
+}
+
+// The four §4.3 sensitivity studies: DRAM, node-controller and bus
+// bandwidth, and memory pressure.
+func TestGoldenSensitivity(t *testing.T) {
+	for _, name := range []string{"sens-dram", "sens-node", "sens-bus", "sens-mp"} {
+		checkResultsSection(t, "experiments.txt", name, false)
 	}
 }

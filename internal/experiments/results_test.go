@@ -12,9 +12,6 @@ import (
 	"repro/internal/report"
 )
 
-// resultsDir holds the committed outputs results/README.md describes.
-const resultsDir = "../../results"
-
 // TestCommittedResults regenerates every file under results/ on the
 // shared 16-processor runner, as the command noted beside it writes the
 // file, and compares byte for byte: the committed results are the
@@ -77,10 +74,10 @@ func TestCommittedResults(t *testing.T) {
 			if err := f.render(&got); err != nil {
 				t.Fatal(err)
 			}
-			experiments.CheckGolden(t, filepath.Join(resultsDir, f.name), got.String())
+			experiments.CheckGolden(t, filepath.Join(experiments.ResultsDir, f.name), got.String())
 		})
 	}
-	entries, err := os.ReadDir(resultsDir)
+	entries, err := os.ReadDir(experiments.ResultsDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +96,7 @@ func TestCommittedThresholds(t *testing.T) {
 	if err := experiments.RenderArtifact(&sb, experiments.PaperRunner(), "thresholds", false); err != nil {
 		t.Fatal(err)
 	}
-	txt, err := os.ReadFile(filepath.Join(resultsDir, "experiments.txt"))
+	txt, err := os.ReadFile(filepath.Join(experiments.ResultsDir, "experiments.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}

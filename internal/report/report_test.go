@@ -2,14 +2,17 @@ package report
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/config"
 	"repro/internal/experiments"
+	"repro/internal/machine"
 )
 
-// Rendering smoke test on hand-built data. The full Collect path is pinned
-// byte for byte by experiments' TestCommittedResults (results/report.html).
+// Rendering smoke test on hand-built data (the full Collect path is
+// exercised by TestCollectAndRender below).
 func TestRenderSynthetic(t *testing.T) {
 	d := &Data{
 		Table1: []experiments.Table1Row{{App: "fft", PaperProblem: "1M", OurProblem: "4096", OurWSKB: 192, Reads: 10, Writes: 5}},
@@ -43,5 +46,53 @@ func TestRenderSynthetic(t *testing.T) {
 	}
 	if strings.Contains(html, "ZgotmplZ") {
 		t.Error("template escaped the SVG payload")
+	}
+}
+
+// Full pipeline on a fresh runner: Collect gathers every study and Render
+// lays each one out, and a second Collect on the same runner reuses the
+// memoised results and renders the same page. The paper's exact page is
+// pinned byte for byte by experiments' TestCommittedResults
+// (results/report.html), so this runner samples, at under half the cost.
+func TestCollectAndRender(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full collection in -short mode")
+	}
+	r := experiments.NewRunner()
+	r.Fidelity = config.Fidelity{Mode: machine.FidelitySampled}
+	var sims atomic.Int64
+	r.OnSimulate = func(string, config.Machine) { sims.Add(1) }
+	render := func() string {
+		t.Helper()
+		d, err := Collect(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		if err := Render(&sb, d); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	html := render()
+	if len(html) < 10_000 {
+		t.Fatalf("suspiciously small report (%d bytes)", len(html))
+	}
+	for _, want := range append([]string{
+		"Table 1", "Figure 2", "Figures 3 &amp; 4", "Figure 5", "Replication thresholds",
+	}, experiments.Apps()...) {
+		if !strings.Contains(html, want) {
+			t.Errorf("report missing %q", want)
+		}
+	}
+	first := sims.Load()
+	if first == 0 {
+		t.Fatal("Collect simulated nothing on a fresh runner")
+	}
+	if again := render(); again != html {
+		t.Error("a second Collect on the same runner rendered a different page")
+	}
+	if n := sims.Load() - first; n != 0 {
+		t.Errorf("a second Collect simulated %d runs; want every result reused", n)
 	}
 }
