@@ -67,35 +67,6 @@ func BenchmarkSimFigure2Matrix(b *testing.B) {
 	b.ReportMetric(total/b.Elapsed().Seconds(), "refs/sec")
 }
 
-// BenchmarkSimFigure2Sampled is the tracked sampled-fidelity benchmark:
-// the same Figure 2 matrix as BenchmarkSimFigure2Matrix but with the
-// runner defaulting every configuration to SMARTS-style sampled
-// execution (default 16000/16000/256000ns geometry). The ratio of this
-// benchmark's ns/ref to BenchmarkSimFigure2Matrix's is the measured
-// fast-forward speedup; CI gates both so a regression in either the
-// exact or the sampled path is caught.
-func BenchmarkSimFigure2Sampled(b *testing.B) {
-	var perIter int64
-	for _, name := range apps.Names() {
-		s := workload(b, name, 16).Summarize()
-		perIter += 3 * (s.Reads + s.Writes)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner()
-		r.Jobs = 1
-		r.Fidelity = config.Fidelity{Mode: machine.FidelitySampled}
-		if _, err := r.Figure2(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	total := float64(perIter) * float64(b.N)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/ref")
-	b.ReportMetric(total/b.Elapsed().Seconds(), "refs/sec")
-}
-
 // BenchmarkSimRing64 is the tracked ring-topology benchmark: one
 // 64-processor simulation (32 nodes in 16 clusters, scaled pressure) on
 // the hierarchical fabric, un-memoized, so elapsed time is pure ring

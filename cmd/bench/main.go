@@ -63,12 +63,12 @@ type Entry struct {
 	Quick  bool   `json:"quick"`
 	Iters  int    `json:"iters"`
 	Note   string `json:"note,omitempty"`
-	// Fidelity is "sampled" when the matrix ran under SMARTS-style
-	// sampled fast-forward; empty for exact entries (the default).
-	Fidelity string `json:"fidelity,omitempty"`
-	// SpeedupVsExact is the wall-clock ratio of the exact twin of each
-	// cell to the sampled run (best-of-iters on both sides); only set on
-	// sampled entries.
+	// Fidelity and SpeedupVsExact are set only on entries recorded when
+	// the harness could run the matrix at sampled fidelity: "sampled",
+	// and the wall-clock ratio of each cell's exact twin to its sampled
+	// run. New entries leave them empty; the fields stay so that merge
+	// carries the recorded entries through unchanged.
+	Fidelity       string  `json:"fidelity,omitempty"`
 	SpeedupVsExact float64 `json:"speedup_vs_exact,omitempty"`
 	Totals         Totals  `json:"totals"`
 	Runs           []Run   `json:"runs"`
@@ -92,18 +92,7 @@ func main() {
 	procs := flag.Int("procs", 0, "machine size (default 16, or 8 with -quick)")
 	iters := flag.Int("iters", 0, "timed iterations per cell, best taken (default 3, or 1 with -quick)")
 	note := flag.String("note", "", "free-form note stored with the entry")
-	fidelity := flag.String("fidelity", "exact",
-		"execution fidelity: exact, or sampled (times the exact twin of every cell too and records speedup_vs_exact)")
 	flag.Parse()
-
-	sampled := false
-	switch *fidelity {
-	case "", machine.FidelityExact:
-	case machine.FidelitySampled:
-		sampled = true
-	default:
-		flags.Check("bench", fmt.Errorf("unknown fidelity %q (known: exact, sampled)", *fidelity))
-	}
 
 	if *procs == 0 {
 		*procs = 16
@@ -122,7 +111,7 @@ func main() {
 		ppns = []int{1, 4}
 	}
 
-	entry, err := benchMatrix(*procs, *iters, ppns, sampled)
+	entry, err := benchMatrix(*procs, *iters, ppns)
 	flags.Check("bench", err)
 	entry.Label = *label
 	entry.Quick = *quick
@@ -133,25 +122,19 @@ func main() {
 	fmt.Printf("wrote %s entry %q: %.1f ns/ref, %.3g refs/sec, %.0f allocs/run, peak RSS %d MiB\n",
 		*out, entry.Label, entry.Totals.NsPerRef, entry.Totals.RefsPerSec,
 		entry.Totals.AllocsPerRun, entry.Totals.PeakRSSBytes>>20)
-	if sampled {
-		fmt.Printf("sampled fidelity: %.2fx wall-clock speedup vs the exact twin matrix\n", entry.SpeedupVsExact)
-	}
 }
 
 // benchMatrix times every cell of the Figure 2 matrix: each run builds a
 // fresh machine and simulates the full trace, so the numbers cover the
 // whole per-run path (construction, simulation, result extraction).
-func benchMatrix(procs, iters int, ppns []int, sampled bool) (Entry, error) {
+func benchMatrix(procs, iters int, ppns []int) (Entry, error) {
 	entry := Entry{
 		Go:     runtime.Version(),
 		NumCPU: runtime.NumCPU(),
 		Procs:  procs,
 		Iters:  iters,
 	}
-	if sampled {
-		entry.Fidelity = machine.FidelitySampled
-	}
-	var totalNs, totalRefs, totalAllocs, totalExactNs int64
+	var totalNs, totalRefs, totalAllocs int64
 	for _, a := range apps.Registry {
 		tr := a.Generate(procs)
 		s := tr.Summarize()
@@ -159,16 +142,6 @@ func benchMatrix(procs, iters int, ppns []int, sampled bool) (Entry, error) {
 		for _, ppn := range ppns {
 			cfg := config.Baseline(ppn, config.MP6)
 			cfg.Procs = procs
-			if sampled {
-				// Time the exact twin first so the entry carries a measured
-				// speedup, not one extrapolated from an old baseline.
-				exact, _, err := bestOf(iters, a.Name, cfg, tr)
-				if err != nil {
-					return entry, err
-				}
-				totalExactNs += exact
-				cfg.Fidelity = config.Fidelity{Mode: machine.FidelitySampled}
-			}
 			best, allocs, err := bestOf(iters, a.Name, cfg, tr)
 			if err != nil {
 				return entry, err
@@ -191,9 +164,6 @@ func benchMatrix(procs, iters int, ppns []int, sampled bool) (Entry, error) {
 		RefsPerSec:   float64(totalRefs) / (float64(totalNs) / 1e9),
 		AllocsPerRun: float64(totalAllocs) / float64(len(entry.Runs)),
 		PeakRSSBytes: peakRSS(),
-	}
-	if sampled && totalNs > 0 {
-		entry.SpeedupVsExact = float64(totalExactNs) / float64(totalNs)
 	}
 	return entry, nil
 }

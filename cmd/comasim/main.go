@@ -28,7 +28,6 @@ func main() {
 	inclusive := flag.Bool("inclusive", true, "inclusive cache hierarchy")
 	baseline := flag.Bool("numa", false, "run the CC-NUMA baseline machine instead of COMA")
 	update := flag.Bool("write-update", false, "write-update protocol instead of invalidation")
-	fidelity := flags.Fidelity(flag.CommandLine)
 	flag.Parse()
 
 	if *list {
@@ -55,12 +54,8 @@ func main() {
 	cfg.BusBandwidth = *busBW
 	cfg.Inclusive = *inclusive
 	cfg.Policy.WriteUpdate = *update
-	cfg.Fidelity = fidelity()
 	var res *machine.Result
 	if *baseline {
-		if cfg.Fidelity.Sampled() {
-			fatal(fmt.Errorf("sampled fidelity is not implemented for the CC-NUMA baseline machine"))
-		}
 		var m *machine.Machine
 		if m, err = numa.NewMachine(cfg.Params(tr.WorkingSet)); err == nil {
 			res, err = m.Run(tr)
@@ -97,11 +92,6 @@ func main() {
 	fmt.Printf("read latency      median<=%dns p99<=%dns  [%s]\n",
 		res.ReadLatency.Quantile(0.5), res.ReadLatency.Quantile(0.99), &res.ReadLatency)
 	fmt.Printf("load imbalance    %.3f (slowest processor / mean finish)\n", res.Imbalance())
-	if rep := res.Fidelity; rep != nil {
-		fmt.Printf("fidelity          sampled %d/%d/%dns: %d windows, %.1f%% detailed, lambda=%.2f (exec-time RSE %.1f%%)\n",
-			rep.WarmupNs, rep.WindowNs, rep.PeriodNs, rep.Windows,
-			100*rep.Coverage, rep.Lambda, 100*rep.Confidence.ExecTime)
-	}
 }
 
 func fatal(err error) {

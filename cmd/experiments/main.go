@@ -6,17 +6,15 @@
 //
 // plus the on-demand extras (not part of the default set):
 //
-//	fig2scaled          — clustering and memory-pressure sweeps at 64 and
-//	                      128 processors on the ring-of-clusters topology
-//	fig2irregular       — the same sweeps over the irregular and allocator
-//	                      workloads, on the bus and on the ring
-//	fidelitycheck       — sampled-fidelity error against exact runs over
-//	                      Figure 2's matrix; exits 1 outside an envelope
-//	fidelitycheck-quick — the same check on a representative app subset
+//	fig2scaled    — clustering and memory-pressure sweeps at 64 and 128
+//	                processors on the ring-of-clusters topology
+//	fig2irregular — the same sweeps over the irregular and allocator
+//	                workloads, on the bus and on the ring
 package main
 
 import (
 	"flag"
+	"io"
 	"os"
 	"strings"
 
@@ -26,27 +24,37 @@ import (
 )
 
 func main() {
-	flags.SetUsage(flag.CommandLine, "experiments", "regenerate the paper's tables and figures (all, or one artifact with -only)")
-	only := flag.String("only", "", "run a single artifact: "+strings.Join(experiments.Artifacts(), ", ")+
+	flags.Check("experiments", run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args and renders the selected artifacts to stdout, with
+// usage and -v progress on stderr. A malformed flag exits like any
+// command's (status 2); every other failure is returned, after the
+// profiles asked for have been written.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	flags.SetUsage(fs, "experiments", "regenerate the paper's tables and figures (all, or one artifact with -only)")
+	only := fs.String("only", "", "run a single artifact: "+strings.Join(experiments.Artifacts(), ", ")+
 		"; or an extra: "+strings.Join(experiments.ExtraArtifacts(), ", "))
-	chart := flag.Bool("chart", false, "render figures 3-5 as stacked bar charts")
-	procs := flags.Procs(flag.CommandLine, 16)
-	fidelity := flags.Fidelity(flag.CommandLine)
-	verbose := flags.Verbose(flag.CommandLine)
-	jobs := flags.Jobs(flag.CommandLine)
-	cpuprofile, memprofile := flags.Profiles(flag.CommandLine)
-	flag.Parse()
+	chart := fs.Bool("chart", false, "render figures 3-5 as stacked bar charts")
+	procs := flags.Procs(fs, 16)
+	verbose := flags.Verbose(fs)
+	jobs := flags.Jobs(fs)
+	cpuprofile, memprofile := flags.Profiles(fs)
+	fs.Parse(args)
 
 	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
-	check(err)
+	if err != nil {
+		return err
+	}
 	defer stopProf()
 
 	r := experiments.NewRunner()
 	r.Procs = *procs
 	r.Jobs = *jobs
-	r.Fidelity = fidelity()
 	if *verbose {
-		r.Progress = os.Stderr
+		r.Progress = stderr
 	}
 	names := experiments.Artifacts()
 	if *only != "" {
@@ -55,10 +63,9 @@ func main() {
 		names = []string{*only}
 	}
 	for _, name := range names {
-		check(experiments.RenderArtifact(os.Stdout, r, name, *chart))
+		if err := experiments.RenderArtifact(stdout, r, name, *chart); err != nil {
+			return err
+		}
 	}
-}
-
-func check(err error) {
-	flags.Check("experiments", err)
+	return nil
 }

@@ -1,6 +1,7 @@
 // Command sweep runs a cartesian parameter sweep (applications x
-// clustering x memory pressure x associativity x bandwidths) and emits
-// one CSV row per simulated point, for plotting or regression tracking.
+// clustering x memory pressure x associativity x DRAM bandwidth) and
+// emits one CSV row per simulated point, for plotting or regression
+// tracking.
 //
 //	go run ./cmd/sweep -apps fft,radix -ppn 1,4 -mp 50%,81% > sweep.csv
 package main
@@ -28,7 +29,6 @@ func main() {
 	clusters := flag.Int("clusters", 0, "ring cluster count (0 = one cluster per node)")
 	linkLat := flag.Int("linklat", 0, "ring link latency in ns (0 = default, -1 = explicitly zero)")
 	scalePressure := flag.Bool("scale-pressure", false, "hold the fractional memory pressure constant at non-paper machine sizes")
-	fidelity := flags.Fidelity(flag.CommandLine)
 	verbose := flags.Verbose(flag.CommandLine)
 	dryRun := flag.Bool("n", false, "print the point count and exit")
 	jobs := flags.Jobs(flag.CommandLine)
@@ -57,7 +57,6 @@ func main() {
 	}
 	r := experiments.NewRunner()
 	r.Jobs = *jobs
-	r.Fidelity = fidelity()
 	if *verbose {
 		r.Progress = os.Stderr
 	}

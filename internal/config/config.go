@@ -111,44 +111,25 @@ type Machine struct {
 
 // Fidelity selects a run's execution fidelity. The zero value (or Mode
 // "exact") is full-detail simulation; Mode "sampled" is SMARTS-style
-// sampled fast-forward (machine.Fidelity). The struct is comparable so
-// configurations carrying it can key result caches.
+// sampled fast-forward at the machine's default geometry
+// (machine.DefaultFidelity), kept only for perfbench's sim-sampled
+// workload. The struct is comparable so configurations carrying it can
+// key result caches.
 type Fidelity struct {
 	// Mode is "", "exact" or "sampled".
 	Mode string
-	// Sampling geometry in simulated nanoseconds; in sampled mode 0
-	// selects the machine default for that field (a negative WarmupNs
-	// means explicitly zero warmup). Ignored in exact mode: an exact
-	// machine with geometry set behaves bit-identically to one without.
-	WarmupNs int64
-	WindowNs int64
-	PeriodNs int64
 }
 
 // Sampled reports whether the spec selects sampled fidelity.
 func (f Fidelity) Sampled() bool { return f.Mode == machine.FidelitySampled }
 
-// Params maps the spec onto the machine's fidelity knob, resolving
-// defaulted geometry fields.
+// Params maps the spec onto the machine's fidelity knob.
 func (f Fidelity) Params() machine.Fidelity {
 	switch f.Mode {
 	case "", machine.FidelityExact:
 		return machine.Fidelity{}
 	case machine.FidelitySampled:
-		spec := machine.DefaultFidelity()
-		switch {
-		case f.WarmupNs > 0:
-			spec.Warmup = engine.Time(f.WarmupNs)
-		case f.WarmupNs < 0:
-			spec.Warmup = 0
-		}
-		if f.WindowNs > 0 {
-			spec.Window = engine.Time(f.WindowNs)
-		}
-		if f.PeriodNs > 0 {
-			spec.Period = engine.Time(f.PeriodNs)
-		}
-		return spec
+		return machine.DefaultFidelity()
 	default:
 		// Unknown modes flow through so machine.Params.Validate rejects
 		// them instead of silently running exact.

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-
-	"repro/internal/config"
 )
 
 // SetUsage installs a uniform usage printer on fs: a one-line synopsis
@@ -62,22 +60,6 @@ func Profiles(fs *flag.FlagSet) (cpuprofile, memprofile *string) {
 	cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	return cpuprofile, memprofile
-}
-
-// Fidelity registers the shared execution-fidelity flags on fs:
-// -fidelity selects exact or sampled execution, and -ff-warmup /
-// -ff-window / -ff-period override the sampled geometry in simulated
-// nanoseconds (0 keeps the machine default; -ff-warmup -1 means
-// explicitly zero warmup). Call the returned resolver after parsing.
-func Fidelity(fs *flag.FlagSet) func() config.Fidelity {
-	mode := fs.String("fidelity", "",
-		`execution fidelity: "exact" (default) or "sampled" (fast-forward between detailed sample windows)`)
-	warm := fs.Int64("ff-warmup", 0, "sampled fidelity: detailed warmup before each window, simulated ns (0 = default, -1 = none)")
-	win := fs.Int64("ff-window", 0, "sampled fidelity: measurement-window span, simulated ns (0 = default)")
-	period := fs.Int64("ff-period", 0, "sampled fidelity: sampling period, simulated ns (0 = default)")
-	return func() config.Fidelity {
-		return config.Fidelity{Mode: *mode, WarmupNs: *warm, WindowNs: *win, PeriodNs: *period}
-	}
 }
 
 // Output registers the shared -o output-file flag on fs; an empty

@@ -9,8 +9,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-
-	"repro/internal/config"
 )
 
 type stackErr struct{}
@@ -44,8 +42,7 @@ func TestCheckPrintsPanicStack(t *testing.T) {
 // own output on -h.
 func TestHelpersRegisterOnGivenSet(t *testing.T) {
 	for _, args := range [][]string{
-		{"-jobs", "3", "-v", "-procs", "8", "-cpuprofile", "c.out", "-memprofile", "m.out",
-			"-fidelity", "sampled", "-ff-warmup", "-1", "-ff-window", "5", "-ff-period", "9", "-o", "f.csv"},
+		{"-jobs", "3", "-v", "-procs", "8", "-cpuprofile", "c.out", "-memprofile", "m.out", "-o", "f.csv"},
 		{},
 	} {
 		fs := flag.NewFlagSet("x", flag.ContinueOnError)
@@ -54,15 +51,14 @@ func TestHelpersRegisterOnGivenSet(t *testing.T) {
 		SetUsage(fs, "x", "do x")
 		jobs, verbose, procs := Jobs(fs), Verbose(fs), Procs(fs, 16)
 		cpu, mem := Profiles(fs)
-		fid, o := Fidelity(fs), Output(fs, "")
+		o := Output(fs, "")
 		if err := fs.Parse(args); err != nil {
 			t.Fatal(err)
 		}
-		got := fmt.Sprint(*jobs, *verbose, *procs, *cpu, *mem, fid(), *o)
-		want := fmt.Sprint(runtime.NumCPU(), false, 16, "", "", config.Fidelity{}, "")
+		got := fmt.Sprint(*jobs, *verbose, *procs, *cpu, *mem, *o)
+		want := fmt.Sprint(runtime.NumCPU(), false, 16, "", "", "")
 		if len(args) > 0 {
-			want = fmt.Sprint(3, true, 8, "c.out", "m.out",
-				config.Fidelity{Mode: "sampled", WarmupNs: -1, WindowNs: 5, PeriodNs: 9}, "f.csv")
+			want = fmt.Sprint(3, true, 8, "c.out", "m.out", "f.csv")
 		}
 		if got != want {
 			t.Errorf("parsed %q: got %s, want %s", args, got, want)
@@ -78,7 +74,7 @@ func TestHelpersRegisterOnGivenSet(t *testing.T) {
 			t.Errorf("usage:\n%s", u)
 		}
 	}
-	for _, name := range []string{"jobs", "v", "procs", "cpuprofile", "fidelity", "o"} {
+	for _, name := range []string{"jobs", "v", "procs", "cpuprofile", "o"} {
 		if flag.CommandLine.Lookup(name) != nil {
 			t.Errorf("-%s registered on the default flag set", name)
 		}

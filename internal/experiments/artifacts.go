@@ -23,7 +23,7 @@ func Artifacts() []string {
 // ExtraArtifacts lists artifacts renderable on demand but excluded from
 // the default regeneration set.
 func ExtraArtifacts() []string {
-	return []string{"fig2scaled", "fig2irregular", "fidelitycheck", "fidelitycheck-quick"}
+	return []string{"fig2scaled", "fig2irregular"}
 }
 
 // RenderArtifact runs one evaluation artifact on the runner and writes
@@ -160,22 +160,8 @@ func RenderArtifact(w io.Writer, r *Runner, name string, chart bool) error {
 		if err := f.Write(w); err != nil {
 			return err
 		}
-	case "fidelitycheck", "fidelitycheck-quick":
-		f, err := r.FidelityCheck(name == "fidelitycheck-quick")
-		if err != nil {
-			return err
-		}
-		if err := f.Write(w); err != nil {
-			return err
-		}
-		if !f.Pass {
-			// Surface the envelope violation as a command failure so CI
-			// runs of this artifact exit nonzero.
-			fmt.Fprintln(w)
-			return fmt.Errorf("fidelity check failed: sampled-mode error outside its declared envelope")
-		}
 	default:
-		return fmt.Errorf("experiments: unknown artifact %q (known: %v, extra: %v)",
+		return fmt.Errorf("unknown artifact %q (known: %v, extra: %v)",
 			name, Artifacts(), ExtraArtifacts())
 	}
 	fmt.Fprintln(w)

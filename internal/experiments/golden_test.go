@@ -19,7 +19,7 @@ import (
 //
 // The golden files under testdata/ pin what results/ does not cover:
 // figure2irregular (the extra workload families, on golden8), the
-// reduced-size figure2scaled ring study, the timeline, and fidelity.
+// reduced-size figure2scaled ring study and the timeline.
 // Regenerate either set after an intended change with:
 //
 //	go test ./internal/experiments -run 'TestCommittedResults|TestGolden' -update

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/machine"
 	"repro/internal/trace"
 )
 
@@ -65,6 +66,39 @@ func TestSensitivityNodeDeterministicAcrossJobs(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("SensitivityNode differs between Jobs=1 and Jobs=8:\nseq %+v\npar %+v", seq, par)
+	}
+}
+
+// TestFidelityJobsInvariance asserts sampled-mode results are
+// byte-identical whether the matrix runs sequentially or fanned out
+// across workers: sampling observes only simulated time, so worker
+// scheduling must not leak into results. The five apps span the
+// contention regimes: near-uncontended, AM-bound, barrier-bursty,
+// bus-saturated and lock-serialized.
+func TestFidelityJobsInvariance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("jobs-invariance matrix in -short mode")
+	}
+	cfg := config.Baseline(1, config.MP6)
+	cfg.Procs = 8
+	cfg.Fidelity = config.Fidelity{Mode: machine.FidelitySampled}
+	var jobsList []job
+	for _, name := range []string{"lu-c", "fft", "ocean-c", "radix", "water-sp"} {
+		jobsList = append(jobsList, job{name, cfg})
+	}
+	sres, err := runner8(1).runAll(jobsList)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pres, err := runner8(8).runAll(jobsList)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range jobsList {
+		if !reflect.DeepEqual(sres[i], pres[i]) {
+			t.Errorf("%s: sampled result differs between -jobs 1 and -jobs 8:\nseq: %+v\npar: %+v",
+				jobsList[i].app, sres[i], pres[i])
+		}
 	}
 }
 

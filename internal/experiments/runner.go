@@ -51,10 +51,11 @@ type Runner struct {
 	// invariance are unaffected.
 	SampleWindow engine.Time
 	// Fidelity is applied to every configuration that does not pin its
-	// own (the -fidelity flag of cmd/experiments and cmd/sweep lands
-	// here); the zero value leaves configurations exact. The resolved
-	// fidelity is part of the memo key, so one runner can hold exact and
-	// sampled results side by side without collisions.
+	// own; the zero value leaves configurations exact. Only perfbench's
+	// sim-sampled workload sets it: no command or request field selects
+	// sampled mode. The resolved fidelity is part of the memo key, so
+	// one runner can hold exact and sampled results side by side without
+	// collisions.
 	Fidelity config.Fidelity
 	// WrapSimulate, when non-nil, brackets each simulation actually
 	// executed (memoized hits are not bracketed): it is called at start

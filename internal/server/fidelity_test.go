@@ -1,163 +1,55 @@
 package server
 
 import (
-	"context"
-	"io"
+	"encoding/json"
 	"net/http"
 	"strings"
 	"testing"
 )
 
-// Tests for the sampled-fidelity request surface: content-address
-// separation from exact runs, canonicalization of the geometry
-// defaults, request validation, the fidelity report in the response,
-// and the phase-split trace span.
+// Sampled fidelity was removed from the request surface. The fidelity
+// field stays: "" and "exact" share one content address, the one exact
+// requests had while the mode existed, and every other value, like any
+// ff_* geometry field, is a 400.
 
-func TestSimulateSampledFidelity(t *testing.T) {
-	_, c := newTestServer(t, Config{})
-	ctx := context.Background()
-
-	exact := fastSim()
-	resE, envE, err := c.Simulate(ctx, exact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampled := fastSim()
-	sampled.Fidelity = "sampled"
-	resS, envS, err := c.Simulate(ctx, sampled)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A sampled execution time is an estimate; it must never be served
-	// for an exact request or vice versa.
-	if envS.Key == envE.Key {
-		t.Fatalf("sampled and exact requests share content address %s", envS.Key)
-	}
-	if resE.Fidelity != nil {
-		t.Fatalf("exact run carries a fidelity report: %+v", resE.Fidelity)
-	}
-	rep := resS.Fidelity
-	if rep == nil {
-		t.Fatal("sampled run carries no fidelity report")
-	}
-	if rep.Mode != "sampled" {
-		t.Errorf("report mode = %q", rep.Mode)
-	}
-	if rep.WarmupNs != 16000 || rep.WindowNs != 16000 || rep.PeriodNs != 256000 {
-		t.Errorf("report geometry = %d/%d/%d, want the defaults 16000/16000/256000",
-			rep.WarmupNs, rep.WindowNs, rep.PeriodNs)
-	}
-	if rep.Windows <= 0 || rep.Coverage <= 0 || rep.Coverage > 1 {
-		t.Errorf("windows=%d coverage=%v, want >0 windows and coverage in (0,1]", rep.Windows, rep.Coverage)
-	}
-	if rep.FastRefs <= 0 || rep.TotalRefs < rep.FastRefs {
-		t.Errorf("fast_refs=%d total_refs=%d", rep.FastRefs, rep.TotalRefs)
-	}
-	if rep.Lambda < 1 {
-		t.Errorf("lambda = %v, want >= 1", rep.Lambda)
-	}
-	// Counts are exact in sampled mode; only timing is estimated.
-	if resS.Reads != resE.Reads {
-		t.Errorf("sampled reads %d != exact reads %d", resS.Reads, resE.Reads)
-	}
-	if resS.ExecTimeNs <= 0 {
-		t.Errorf("sampled exec_time_ns = %d", resS.ExecTimeNs)
-	}
-}
-
-// The canonical form spells the resolved sampling geometry out, so "0 =
-// default" and the explicit default values share one content address —
-// and the fidelity default ("" = exact) converges with its explicit
-// spelling.
+// The canonical form keeps "fidelity":"exact" and the three zero ff_*
+// fields, so an exact request keeps the address it was stored under.
 func TestFidelityCanonicalization(t *testing.T) {
-	implicit := SimRequest{App: "fft", Procs: 8, MP: "6%", Fidelity: "sampled"}
-	explicit := SimRequest{App: "fft", Procs: 8, MP: "6%", Fidelity: "sampled",
-		FFWarmupNs: 16000, FFWindowNs: 16000, FFPeriodNs: 256000}
-	if _, err := implicit.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := explicit.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if implicit.key() != explicit.key() {
-		t.Fatal("defaulted and explicit sampled geometries hash to different keys")
-	}
-
-	def := SimRequest{App: "fft", Procs: 8, MP: "6%"}
-	exact := SimRequest{App: "fft", Procs: 8, MP: "6%", Fidelity: "exact"}
-	if _, err := def.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := exact.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if def.key() != exact.key() {
-		t.Fatal(`"" and "exact" fidelities hash to different keys`)
+	const want = "53b161475b86ed5d4799af6109e06bed130fb437abdf9313b8a8ba3328d18312"
+	for _, r := range []SimRequest{
+		{App: "fft", Procs: 8, MP: "6%"},
+		{App: "fft", Procs: 8, MP: "6%", Fidelity: "exact"},
+	} {
+		k, err := r.CanonicalKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := k.String(); got != want {
+			t.Errorf("fidelity %q: key %s, want %s", r.Fidelity, got, want)
+		}
 	}
 }
 
 func TestFidelityBadRequests(t *testing.T) {
 	_, c := newTestServer(t, Config{})
-	cases := []string{
-		`{"app":"fft","fidelity":"fast"}`,                          // unknown mode
-		`{"app":"fft","fidelity":"Sampled"}`,                       // spelling is case-sensitive
-		`{"app":"fft","ff_window_ns":5000}`,                        // geometry without sampled
-		`{"app":"fft","fidelity":"exact","ff_period_ns":64000}`,    // geometry with exact
-		`{"app":"fft","fidelity":"sampled","ff_warmup_ns":-2}`,     // below the -1 sentinel
-		`{"app":"fft","fidelity":"sampled","ff_window_ns":-1}`,     // negative window
-		`{"app":"fft","fidelity":"sampled","ff_period_ns":-1}`,     // negative period
-		`{"app":"fft","fidelity":"sampled","ff_period_ns":10000}`,  // period < warmup+window
-		`{"app":"fft","fidelity":"sampled","ff_warmup_ns":300000}`, // warmup overflows the period
-	}
-	for _, body := range cases {
-		resp, err := http.Post(c.Base+"/v1/simulate", "application/json", strings.NewReader(body))
+	for _, tc := range []struct{ body, msg string }{
+		{`{"app":"fft","fidelity":"sampled"}`, "sampled fidelity was removed"},
+		{`{"app":"fft","fidelity":"fast"}`, "sampled fidelity was removed"},
+		{`{"app":"fft","ff_window_ns":5000}`, `unknown field "ff_window_ns"`},
+		{`{"app":"fft","fidelity":"exact","ff_period_ns":64000}`, `unknown field "ff_period_ns"`},
+	} {
+		resp, err := http.Post(c.Base+"/v1/simulate", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		var e struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&e)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("POST /v1/simulate %s: HTTP %d, want 400", body, resp.StatusCode)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// A sampled run's trace carries the phase-split annotation span.
-func TestFidelityTraceSpan(t *testing.T) {
-	_, c := newTestServer(t, Config{})
-	const traceID = "feedc0de0000000000000000f1de1127"
-
-	body := strings.NewReader(`{"app":"fft","procs":8,"mp":"6%","fidelity":"sampled"}`)
-	req, err := http.NewRequest(http.MethodPost, c.Base+"/v1/simulate", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Trace-Id", traceID)
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("simulate: HTTP %d", resp.StatusCode)
-	}
-	td, err := c.Trace(context.Background(), traceID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, sp := range td.Spans {
-		if sp.Name != "fidelity.phases" {
-			continue
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, tc.msg) {
+			t.Errorf("POST /v1/simulate %s: HTTP %d %q, want 400 naming %q", tc.body, resp.StatusCode, e.Error, tc.msg)
 		}
-		found = true
-		if sp.Attrs["windows"] == "" || sp.Attrs["coverage"] == "" || sp.Attrs["lambda"] == "" {
-			t.Errorf("fidelity.phases attrs = %v, want windows/coverage/lambda", sp.Attrs)
-		}
-	}
-	if !found {
-		t.Errorf("trace has no fidelity.phases span (spans: %d)", len(td.Spans))
 	}
 }

@@ -148,7 +148,6 @@ func TestSimulateByTraceRef(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := config.Baseline(2, config.MP6)
-	cfg.Fidelity = config.Fidelity{Mode: "exact"}
 	local, err := experiments.NewRunner().RunTrace(decoded, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -22,7 +22,8 @@ import (
 // v3: execution-fidelity request fields (sampled fast-forward) and the
 // fidelity report in SimResult. Exact and sampled runs of the same
 // machine must never share a content address — sampled execution times
-// are estimates.
+// were estimates. Sampled fidelity has since been removed from the API;
+// the canonical form keeps its exact spelling (see canonSim).
 //
 // v4: simulate-by-reference (the trace_ref field): a v4 request can name
 // an uploaded trace instead of a registered workload, and the machine
@@ -76,22 +77,17 @@ type SimRequest struct {
 	// ScalePressure reinterprets the MP fraction against this machine's
 	// processor count instead of the paper's 16 (scaled sweeps).
 	ScalePressure bool `json:"scale_pressure,omitempty"`
-	// Fidelity selects the execution fidelity: "exact" (default) or
-	// "sampled" (fast-forward between detailed measurement windows;
-	// execution time becomes an estimate, count metrics stay exact).
+	// Fidelity is the execution fidelity: "exact", the default and the
+	// only mode. Any other value is a 400 (sampled fidelity was removed).
 	Fidelity string `json:"fidelity,omitempty"`
-	// Sampled-geometry overrides in simulated nanoseconds, only valid
-	// with fidelity "sampled": warmup before each measurement window
-	// (-1 means explicitly zero), window span and sampling period. Zero
-	// selects the defaults (16000/16000/256000).
-	FFWarmupNs int64 `json:"ff_warmup_ns,omitempty"`
-	FFWindowNs int64 `json:"ff_window_ns,omitempty"`
-	FFPeriodNs int64 `json:"ff_period_ns,omitempty"`
 }
 
 // canonSim is the canonical (fully defaulted) form that is hashed into
 // the content address. Field order is fixed by the struct; there are no
-// maps, so the encoding is byte-deterministic.
+// maps, so the encoding is byte-deterministic. Fidelity is always
+// "exact" and the three ff_* fields always zero: they stay, spelled as
+// before sampled fidelity was removed, so every stored address remains
+// valid.
 type canonSim struct {
 	Schema       int     `json:"schema"`
 	Kind         string  `json:"kind"`
@@ -203,38 +199,10 @@ func (r *SimRequest) normalize() (config.Machine, error) {
 		}
 	}
 	switch r.Fidelity {
-	case "":
+	case "", machine.FidelityExact:
 		r.Fidelity = machine.FidelityExact
-	case machine.FidelityExact, machine.FidelitySampled:
 	default:
-		return config.Machine{}, fmt.Errorf("unknown fidelity %q (known: exact, sampled)", r.Fidelity)
-	}
-	if r.Fidelity == machine.FidelityExact {
-		if r.FFWarmupNs != 0 || r.FFWindowNs != 0 || r.FFPeriodNs != 0 {
-			return config.Machine{}, fmt.Errorf("ff_warmup_ns, ff_window_ns and ff_period_ns are only valid with fidelity \"sampled\"")
-		}
-	} else {
-		if r.FFWarmupNs < -1 {
-			return config.Machine{}, fmt.Errorf("ff_warmup_ns must be >= -1 (-1 means zero warmup)")
-		}
-		if r.FFWindowNs < 0 || r.FFPeriodNs < 0 {
-			return config.Machine{}, fmt.Errorf("ff_window_ns and ff_period_ns must be non-negative (0 means default)")
-		}
-		spec := config.Fidelity{Mode: machine.FidelitySampled,
-			WarmupNs: r.FFWarmupNs, WindowNs: r.FFWindowNs, PeriodNs: r.FFPeriodNs}.Params()
-		if err := spec.Validate(); err != nil {
-			return config.Machine{}, err
-		}
-		// The canonical form spells the resolved geometry out, so "0 =
-		// default" and the explicit default values share one content
-		// address (a zero resolved warmup canonicalizes to -1, the
-		// explicit-zero spelling).
-		r.FFWarmupNs = int64(spec.Warmup)
-		if r.FFWarmupNs == 0 {
-			r.FFWarmupNs = -1
-		}
-		r.FFWindowNs = int64(spec.Window)
-		r.FFPeriodNs = int64(spec.Period)
+		return config.Machine{}, fmt.Errorf("fidelity %q: sampled fidelity was removed; the only mode is \"exact\"", r.Fidelity)
 	}
 	if r.TraceRef != "" {
 		// The procs-dependent geometry checks (node divisibility, ring
@@ -282,14 +250,6 @@ func (r *SimRequest) geometry(procs int) (config.Machine, error) {
 		cfg.LinkLatencyNs = r.LinkLatencyNs
 		cfg.LinkBandwidth = r.LinkBandwidth
 	}
-	// Mode "exact" (not the zero value) pins the fidelity so a runner
-	// default can never override a request's choice.
-	cfg.Fidelity = config.Fidelity{Mode: r.Fidelity}
-	if r.Fidelity == machine.FidelitySampled {
-		cfg.Fidelity.WarmupNs = r.FFWarmupNs
-		cfg.Fidelity.WindowNs = r.FFWindowNs
-		cfg.Fidelity.PeriodNs = r.FFPeriodNs
-	}
 	return cfg, nil
 }
 
@@ -315,9 +275,7 @@ func (r *SimRequest) key() store.Key {
 		Bus: r.BusBandwidth, Inclusive: *r.Inclusive, WriteUpdate: r.WriteUpdate,
 		Topology: r.Topology, Clusters: r.Clusters,
 		LinkLatency: r.LinkLatencyNs, LinkBW: r.LinkBandwidth,
-		ScaleMP:  r.ScalePressure,
-		Fidelity: r.Fidelity,
-		FFWarmup: r.FFWarmupNs, FFWindow: r.FFWindowNs, FFPeriod: r.FFPeriodNs,
+		ScaleMP: r.ScalePressure, Fidelity: r.Fidelity,
 	}
 	b, err := json.Marshal(c)
 	if err != nil {

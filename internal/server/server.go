@@ -715,34 +715,6 @@ type SimResult struct {
 	ReadLatencyP50Ns int64      `json:"read_latency_p50_ns"`
 	ReadLatencyP99Ns int64      `json:"read_latency_p99_ns"`
 	Protocol         coma.Stats `json:"protocol"`
-	// Fidelity is present only for sampled-fidelity runs: the sampling
-	// geometry that actually ran, how much of the run was measured in
-	// detail, the calibrated contention factors and per-metric confidence
-	// (relative standard errors across measurement windows).
-	Fidelity *SimFidelity `json:"fidelity,omitempty"`
-}
-
-// SimFidelity mirrors machine.FidelityReport in the stable response
-// schema (documented in API.md).
-type SimFidelity struct {
-	Mode        string     `json:"mode"`
-	WarmupNs    int64      `json:"warmup_ns"`
-	WindowNs    int64      `json:"window_ns"`
-	PeriodNs    int64      `json:"period_ns"`
-	Windows     int        `json:"windows"`
-	DetailedNs  int64      `json:"detailed_ns"`
-	Coverage    float64    `json:"coverage"`
-	FastRefs    int64      `json:"fast_refs"`
-	TotalRefs   int64      `json:"total_refs"`
-	Lambda      float64    `json:"lambda"`
-	LambdaClass [3]float64 `json:"lambda_class"` // SLC, AM, remote
-	LambdaDrain float64    `json:"lambda_drain"`
-	Confidence  struct {
-		ExecTime     float64 `json:"exec_time_rse"`
-		RNMr         float64 `json:"rnmr_rse"`
-		BusOccupancy float64 `json:"bus_occupancy_rse"`
-		MissRatio    float64 `json:"miss_ratio_rse"`
-	} `json:"confidence"`
 }
 
 func newSimResult(res *machine.Result) SimResult {
@@ -769,27 +741,6 @@ func newSimResult(res *machine.Result) SimResult {
 	out.Breakdown.AM = b.AM
 	out.Breakdown.Remote = b.Remote
 	out.Breakdown.Sync = b.Sync
-	if rep := res.Fidelity; rep != nil {
-		f := &SimFidelity{
-			Mode:        rep.Mode,
-			WarmupNs:    rep.WarmupNs,
-			WindowNs:    rep.WindowNs,
-			PeriodNs:    rep.PeriodNs,
-			Windows:     rep.Windows,
-			DetailedNs:  rep.DetailedNs,
-			Coverage:    rep.Coverage,
-			FastRefs:    rep.FastRefs,
-			TotalRefs:   rep.TotalRefs,
-			Lambda:      rep.Lambda,
-			LambdaClass: rep.LambdaClass,
-			LambdaDrain: rep.LambdaDrain,
-		}
-		f.Confidence.ExecTime = rep.Confidence.ExecTime
-		f.Confidence.RNMr = rep.Confidence.RNMr
-		f.Confidence.BusOccupancy = rep.Confidence.BusOccupancy
-		f.Confidence.MissRatio = rep.Confidence.MissRatio
-		out.Fidelity = f
-	}
 	return out
 }
 
@@ -839,17 +790,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return nil, err
 			}
-		}
-		if rep := res.Fidelity; rep != nil {
-			// Annotate the trace with the run's fast-forward/detailed
-			// phase split so a sampled run's provenance is inspectable
-			// next to its simulate span.
-			sp := tracing.FromContext(ctx).StartChild("fidelity.phases")
-			sp.SetAttr("windows", strconv.Itoa(rep.Windows))
-			sp.SetAttr("coverage", fmt.Sprintf("%.4f", rep.Coverage))
-			sp.SetAttr("fast_refs", strconv.FormatInt(rep.FastRefs, 10))
-			sp.SetAttr("lambda", fmt.Sprintf("%.3f", rep.Lambda))
-			sp.End()
 		}
 		s.counters.simulatedRuns.Add(1)
 		s.counters.simulatedExecNs.Add(int64(res.ExecTime))
